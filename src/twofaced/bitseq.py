@@ -21,19 +21,26 @@ FORMATS = ("ascii01", "packed", "hex")
 def as_bit_array(bits) -> np.ndarray:
     """Normalize bit-like input to a 1-D uint8 array of 0/1 values.
 
-    Accepts a BitSequence, an ascii string of 0/1, a numpy array, or any
-    iterable of integers.
+    Accepts a BitSequence, an ascii string of 0/1, a numpy array, bytes,
+    or any iterable of integers.  Values that are not exactly 0 or 1
+    (e.g. 0.6, or 256, which would wrap to 0 as uint8) raise ValueError.
     """
     if isinstance(bits, BitSequence):
         return bits.array
     if isinstance(bits, str):
         return _bits_from_text(bits)
-    if isinstance(bits, np.ndarray):
-        arr = bits.astype(np.uint8, copy=True)
+    if isinstance(bits, (bytes, bytearray)):
+        raw = np.frombuffer(bits, dtype=np.uint8)
+    elif isinstance(bits, np.ndarray):
+        raw = bits
     else:
-        arr = np.fromiter(bits, dtype=np.uint8)
-    if arr.ndim != 1:
+        raw = np.array(list(bits))
+    if raw.ndim != 1:
         raise ValueError("bit input must be one-dimensional")
+    with np.errstate(invalid="ignore"):  # NaN and inf fail the check below
+        arr = raw.astype(np.uint8, copy=True)
+    if raw.dtype != np.uint8 and not np.array_equal(arr, raw):
+        raise ValueError("bits must be 0 or 1")
     if arr.size and int(arr.max()) > 1:
         raise ValueError("bits must be 0 or 1")
     return arr

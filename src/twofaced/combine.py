@@ -11,6 +11,13 @@ block length is covered once the cuts pass it.
 
 Components are instantiated lazily: a component whose segment starts at
 or beyond the requested length is never built.
+
+Cost: each component is sampled from position 0 up to the requested
+length, not just over its own segment, because that is how the
+construction defines it.  With `default_config` the orders double up
+to about n, so about log2(n) components each emit n bits and the
+combination costs Θ(n log n).  The k-bit windows of the large-order
+components cross between integer and bit form in time linear in k.
 """
 from __future__ import annotations
 

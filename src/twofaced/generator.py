@@ -32,8 +32,10 @@ EXTENSION_CAP = 8
 class GeneratorState:
     """A kernel plus the sliding window of the last `order` emitted bits.
 
-    Single-owner and sequential: the Markov dependence forbids parallel
-    emission within one stream.
+    The window is stored as one integer, oldest bit most significant;
+    `context_to_int` and `int_to_context` are its only conversions to and
+    from bit form.  Single-owner and sequential: the Markov dependence
+    forbids parallel emission within one stream.
     """
 
     kernel: KernelSpec
@@ -105,17 +107,14 @@ def generate_by_conversion(state: GeneratorState, n: int, reals) -> BitSequence:
     The two routes agree in distribution, not bit-for-bit under a shared
     draw sequence; tests cross-check them against the exact block laws.
     """
-    from .transform import transform
+    from .transform import TransformState, transform_chunk
     if n < 0:
         raise ValueError("length must be nonnegative")
     kernel = state.kernel
     u = reals.reals(n)
-    x = (u >= kernel.pi).astype(np.uint8)
-    v = np.array(state.context_bits(), dtype=np.uint8)
-    y = transform(x, v, kernel.variant)
-    if n:
-        tail = np.concatenate([v, y.array])[-kernel.order:]
-        state.context = context_to_int(tail)
+    window = TransformState(kernel.order, state.context, 0, kernel.variant)
+    y = transform_chunk(window, (u >= kernel.pi).astype(np.uint8))
+    state.context = window.context
     state.steps_emitted += n
     return y
 

@@ -17,11 +17,13 @@ float, so they agree exactly, with no tolerance.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .bitseq import as_bit_array
 from .errors import CapacityError
 
 TABLE_ORDER_CAP = 20
@@ -48,35 +50,43 @@ class KernelSpec:
     pi: float
 
     def __post_init__(self):
-        if not isinstance(self.order, int) or self.order < 1:
+        try:
+            order = operator.index(self.order)
+        except TypeError:
+            order = None
+        if order is None or order < 1:
             raise ValueError(f"order must be a positive integer, got {self.order!r}")
+        object.__setattr__(self, "order", order)
         if not 0.0 < self.pi < 1.0:
             raise ValueError(f"pi must lie strictly inside (0, 1), got {self.pi!r}")
 
 
 def as_context(context, order: int) -> tuple[int, ...]:
     """Normalize a context word to a tuple of bits, checking its length."""
-    if isinstance(context, str):
-        bits = tuple(int(c) for c in context)
-    else:
-        bits = tuple(int(b) for b in context)
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("context bits must be 0 or 1")
-    if len(bits) != order:
-        raise ValueError(f"context length {len(bits)} does not match order {order}")
-    return bits
+    bits = as_bit_array(context)
+    if bits.size != order:
+        raise ValueError(f"context length {bits.size} does not match order {order}")
+    return tuple(bits.tolist())
 
 
 def context_to_int(context) -> int:
-    """Encode a context word as an integer, oldest bit most significant."""
-    value = 0
-    for b in context:
-        value = (value << 1) | int(b)
-    return value
+    """Encode a context word as an integer, oldest bit most significant.
+
+    Linear in the word length: the bits are left-padded to whole bytes,
+    packed, and read as one big-endian integer.
+    """
+    bits = as_bit_array(context)
+    pad = np.zeros(-bits.size % 8, dtype=np.uint8)
+    return int.from_bytes(np.packbits(np.concatenate([pad, bits])).tobytes(), "big")
 
 
 def int_to_context(value: int, order: int) -> tuple[int, ...]:
-    return tuple((value >> (order - 1 - j)) & 1 for j in range(order))
+    """Decode the low `order` bits of an integer into a context word,
+    oldest bit first; linear in `order`."""
+    value = operator.index(value) & ((1 << order) - 1)
+    raw = np.frombuffer(value.to_bytes((order + 7) // 8, "big"), dtype=np.uint8)
+    bits = np.unpackbits(raw)
+    return tuple(bits[bits.size - order:].tolist())
 
 
 def _parity(bits) -> int:

@@ -126,9 +126,13 @@ class UniformRealSource:
             raise ValueError("draw count must be nonnegative")
         if n == 0:
             return np.empty(0, dtype=np.float64)
-        b = self.source.bits(53 * n).reshape(n, 53)
-        weights = 2.0 ** -(np.arange(53, dtype=np.float64) + 1.0)
-        return b.astype(np.float64) @ weights
+        # Each 53-bit row packs MSB first into 7 bytes (3 zero pad bits);
+        # behind a zero byte they read as a big-endian u64 of mantissa << 3.
+        # The conversion to float64 and the power-of-two scaling are exact.
+        rows = np.zeros((n, 8), dtype=np.uint8)
+        rows[:, 1:] = np.packbits(self.source.bits(53 * n).reshape(n, 53), axis=1)
+        mantissa = rows.view(">u8").ravel() >> np.uint64(3)
+        return mantissa.astype(np.float64) * 2.0 ** -53
 
     def next_real(self) -> float:
         return float(self.reals(1)[0])

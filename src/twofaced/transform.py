@@ -99,7 +99,8 @@ def inverse_transform(y, v, variant: Variant = Variant.PLAIN) -> BitSequence:
 
 @dataclass
 class TransformState:
-    """Persistent window for chunked conversion of an unbounded stream."""
+    """Persistent window for chunked conversion of an unbounded stream,
+    stored as one integer like `GeneratorState.context`."""
 
     order: int
     context: int

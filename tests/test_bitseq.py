@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -101,3 +102,13 @@ def test_unknown_format_rejected():
         encode_stream(BitSequence("1"), "base64")
     with pytest.raises(ValueError):
         decode_stream(b"1", "base64")
+
+
+def test_non_integral_bits_rejected():
+    with pytest.raises(ValueError):
+        BitSequence(np.array([0.6, 1.9]))
+    with pytest.raises(ValueError):
+        BitSequence([0.6, 1.0])
+    with pytest.raises(ValueError):
+        BitSequence(np.array([256]))  # would wrap to 0 as uint8
+    assert BitSequence(np.array([1.0, 0.0])) == BitSequence("10")

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -153,3 +154,57 @@ def test_context_int_round_trip():
     assert as_context("101", 3) == (1, 0, 1)
     with pytest.raises(ValueError):
         as_context("102", 3)
+
+
+def test_kernel_spec_accepts_integral_orders():
+    spec = KernelSpec(Variant.PLAIN, np.int64(8), 0.2)
+    assert spec.order == 8 and type(spec.order) is int
+    assert spec == KernelSpec(Variant.PLAIN, 8, 0.2)
+    for bad in (8.0, "8", np.float64(8.0)):
+        with pytest.raises(ValueError):
+            KernelSpec(Variant.PLAIN, bad, 0.2)
+
+
+def _int_by_definition(bits):
+    value = 0
+    for b in bits:
+        value = 2 * value + b
+    return value
+
+
+@given(st.lists(st.integers(0, 1), max_size=200))
+def test_context_to_int_matches_definition(bits):
+    value = context_to_int(bits)
+    assert value == _int_by_definition(bits)
+    assert int_to_context(value, len(bits)) == tuple(bits)
+
+
+@given(st.integers(0, 200), st.integers(min_value=0, max_value=1 << 260))
+def test_int_to_context_matches_definition(k, value):
+    ctx = int_to_context(value, k)
+    assert ctx == tuple((value >> (k - 1 - j)) & 1 for j in range(k))
+    assert all(type(b) is int for b in ctx)
+
+
+@pytest.mark.parametrize("k", [1 << 18, (1 << 18) - 3])
+def test_context_int_round_trip_large_order(k):
+    bits = np.random.default_rng(k).integers(0, 2, k, dtype=np.uint8)
+    value = context_to_int(bits)
+    assert value == int("".join(map(str, bits.tolist())), 2)
+    assert int_to_context(value, k) == tuple(int(c) for c in format(value, f"0{k}b"))
+
+
+def test_context_to_int_input_types():
+    bits = [1, 0, 1, 1, 0, 0, 1, 0, 1]
+    expected = 0b101100101
+    for word in (tuple(bits), bits, bytearray(bits), np.array(bits, dtype=np.uint8),
+                 "101100101"):
+        assert context_to_int(word) == expected
+    assert context_to_int(()) == 0
+
+
+def test_int_to_context_masks_to_order():
+    assert int_to_context(0b11010, 3) == (0, 1, 0)
+    assert int_to_context((1 << 300) | 0b101, 3) == (1, 0, 1)
+    assert int_to_context(1 << 8, 8) == (0,) * 8
+    assert int_to_context(7, 0) == ()

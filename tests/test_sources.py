@@ -120,3 +120,25 @@ def test_counter_source_passes_own_battery():
     bits = next_bits(CounterBitSource(314159), 10 ** 6)
     for m in range(1, 11):
         assert block_frequencies(bits, m).p_value > 1e-4
+
+
+def _weighted_sum_reals(bits, n):
+    # The documented construction, term by term: sum_j b_j * 2^-(j+1).
+    weights = 2.0 ** -(np.arange(53, dtype=np.float64) + 1.0)
+    return bits[:53 * n].reshape(n, 53).astype(np.float64) @ weights
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 100003])
+@pytest.mark.parametrize("seed", [0, 9, 1512, _M64])
+def test_uniform_reals_equal_weighted_sum(seed, n):
+    got = UniformRealSource.from_seed(seed).reals(n)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert np.array_equal(got, _weighted_sum_reals(CounterBitSource(seed).bits(53 * n), n))
+
+
+def test_uniform_reals_from_replayed_bits_equal_weighted_sum():
+    bits = np.concatenate([np.ones(53, np.uint8), np.zeros(53, np.uint8),
+                           CounterBitSource(5).bits(53 * 98)])
+    got = UniformRealSource(ReplayBitSource(bits)).reals(100)
+    assert np.array_equal(got, _weighted_sum_reals(bits, 100))
+    assert got[0] == 1.0 - 2.0 ** -53 and got[1] == 0.0
