@@ -235,6 +235,9 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
             OSError) as exc:
         print(f"twofaced {args.command}: {exc}", file=stderr)
         return 1
+    except MemoryError as exc:  # e.g. numpy refusing a huge --length
+        print(f"twofaced {args.command}: {str(exc) or 'out of memory'}", file=stderr)
+        return 1
 
 
 def main() -> None:

@@ -9,11 +9,11 @@ quantifies the deviation.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as _special
 
 from .bitseq import BitSequence, as_bit_array
 from .errors import CapacityError
@@ -131,13 +131,87 @@ def empirical_conditional_entropy(seq, m: int) -> float:
     return float(-terms.sum() / windows)
 
 
+_EPS = 2.0 ** -52
+_TINY = 1e-300
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _stirling_tail(a: float) -> float:
+    """lgamma(a) - ((a - 1/2) ln a - a + ln(2 pi)/2), small for large a."""
+    if a < 10.0:
+        return math.lgamma(a) - ((a - 0.5) * math.log(a) - a + _HALF_LOG_2PI)
+    r = 1.0 / (a * a)
+    return (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / a
+
+
+def _log_prefactor(a: float, x: float) -> float:
+    """ln(x^a e^-x / Gamma(a)) without the cancellation of its large terms.
+
+    Written as a (ln(x/a) - t) + ln(a)/2 - ln(2 pi)/2 - stirling_tail(a)
+    with t = (x - a)/a, so the error stays near eps |x - a| rather than
+    eps a ln x (which is 1e-8 relative at a = 2^23).
+    """
+    t = (x - a) / a
+    log_ratio = math.log1p(t) if abs(t) < 0.5 else math.log(x / a)
+    return a * (log_ratio - t) + 0.5 * math.log(a) - _HALF_LOG_2PI - _stirling_tail(a)
+
+
+def _gammaincc(a: float, x: float) -> float:
+    """Regularized upper incomplete gamma Q(a, x), for a > 0 and x >= 0.
+
+    Series for P = 1 - Q below x = a + 1, Lentz's continued fraction for
+    Q above it (Numerical Recipes, section 6.2).  Both need about
+    7.5 (10 + sqrt(a)) terms at worst (near x = a); twice that bounds
+    the loop, and reaching the bound raises rather than return a
+    truncated value.
+    """
+    if x <= 0.0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    limit = int(16.0 * (10.0 + math.sqrt(a)))
+    prefactor = math.exp(_log_prefactor(a, x))
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        ap = a
+        for _ in range(limit):
+            ap += 1.0
+            term *= x / ap
+            total += term
+            if term < total * _EPS:
+                return 1.0 - total * prefactor
+    else:
+        b = x + 1.0 - a
+        c = 1.0 / _TINY
+        d = 1.0 / b
+        h = d
+        for i in range(1, limit):
+            an = -i * (i - a)
+            b += 2.0
+            d = an * d + b
+            if abs(d) < _TINY:
+                d = _TINY
+            c = b + an / c
+            if abs(c) < _TINY:
+                c = _TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+            if abs(delta - 1.0) < _EPS:
+                return prefactor * h
+    raise ArithmeticError(f"incomplete gamma did not converge in {limit} terms "
+                          f"at a={a!r}, x={x!r}")
+
+
 def chi_square_pvalue(statistic: float, df: int) -> float:
-    """Upper-tail probability of the chi-square law."""
+    """Upper-tail probability of the chi-square law (0.0 at +inf; NaN raises)."""
+    if math.isnan(statistic):
+        raise ValueError("statistic must not be NaN")
     if statistic < 0.0:
         raise ValueError("statistic must be nonnegative")
     if df < 1:
         raise ValueError("degrees of freedom must be positive")
-    return float(_special.gammaincc(df / 2.0, statistic / 2.0))
+    return _gammaincc(df / 2.0, statistic / 2.0)
 
 
 def analyze(seq, max_block: int, min_block: int = 1) -> list[BlockStats]:

@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from twofaced.bitseq import decode_stream
 from twofaced.cli import run
@@ -195,3 +199,36 @@ def test_unknown_command_exits_2():
 def test_bad_stream_data_is_runtime_error():
     code, _, err = invoke(["transform", "--init", "01"], b"01x0")
     assert code == 1 and err != ""
+
+
+def test_huge_length_memory_error_is_runtime_error():
+    # numpy refuses the 7 PiB draw buffer at once, so nothing is allocated.
+    code, out, err = invoke(["gen", "--order", "8", "--pi", "0.2", "--length",
+                             "1000000000000000", "--seed", "1"])
+    assert code == 1 and out == b""
+    assert err.startswith("twofaced gen: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+_NO_SCIPY_PROBE = """
+import io, sys
+import twofaced.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+assert not scipy_modules(), scipy_modules()
+out = io.BytesIO()
+code = twofaced.cli.run(["analyze", "--max-block", "4"],
+                        io.BytesIO(b"0110100110010110" * 64), out, io.StringIO())
+assert code == 0 and out.getvalue().count(b"\\n") == 4, (code, out.getvalue())
+assert not scipy_modules(), scipy_modules()
+"""
+
+
+def test_cli_start_up_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

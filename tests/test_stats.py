@@ -11,9 +11,10 @@ from twofaced.errors import CapacityError
 from twofaced.generator import generate, init_uniform
 from twofaced.kernels import KernelSpec, Variant
 from twofaced.sources import CounterBitSource, UniformRealSource, next_bits
-from twofaced.stats import (analyze, block_frequencies,
-                            chi_square_pvalue, empirical_conditional_entropy,
-                            occurrence_count, report_csv, report_text)
+from twofaced.stats import (BLOCK_LEN_CAP, _gammaincc, analyze,
+                            block_frequencies, chi_square_pvalue,
+                            empirical_conditional_entropy, occurrence_count,
+                            report_csv, report_text)
 
 bit_lists = st.lists(st.integers(0, 1), min_size=1, max_size=400)
 
@@ -194,6 +195,92 @@ def test_chi_square_pvalue_matches_series_oracle():
             got = chi_square_pvalue(stat, df)
             want = _q_gamma_oracle(df / 2.0, stat / 2.0)
             assert got == pytest.approx(want, abs=1e-8)
+
+
+# (df, statistic, p-value) with the p-value from scipy.special.gammaincc
+# (scipy 1.17.1), pinned as literals so the test needs no scipy.  For each
+# df: 0, 0.01 df, df, df -/+ 4 sqrt(2 df) (the minus side only where it
+# is nonnegative), and statistics with p near 1e-10, 1e-100 and 1e-300.
+_SCIPY_PVALUES = [
+    (1, 0.0, 1.0),
+    (1, 0.01, 0.920344325445942),
+    (1, 1.0, 0.31731050786291115),
+    (1, 6.65685424949, 0.00987751320556392),
+    (1, 41.8215, 9.999776833432998e-11),
+    (1, 453.943, 1.0000412104365785e-100),
+    (1, 1373.87, 1.0013174344577157e-300),
+    (3, 0.0, 1.0),
+    (3, 0.03, 0.9986303948188087),
+    (3, 3.0, 0.3916251762710877),
+    (3, 12.7979589711, 0.00509454105172364),
+    (3, 49.5422, 9.999783918388035e-11),
+    (3, 466.214, 1.0001784197112438e-100),
+    (3, 1388.34, 9.983893859787183e-301),
+    (255, 0.0, 1.0),
+    (255, 2.55, 1.0),
+    (255, 255.0, 0.48822252177040637),
+    (255, 164.667281675, 0.999997590796753),
+    (255, 345.332718325, 0.00013897772943257576),
+    (255, 425.923, 1.0000560432268965e-10),
+    (255, 1072.89, 9.992835882105841e-101),
+    (255, 2172.08, 1.000966730047285e-300),
+    (65535, 0.0, 1.0),
+    (65535, 655.35, 1.0),
+    (65535, 65535.0, 0.4992653724170944),
+    (65535, 64086.8563607, 0.9999718737907741),
+    (65535, 66983.1436393, 3.552393619599658e-05),
+    (65535, 67864.4, 1.0001739112407287e-10),
+    (65535, 73540.7, 9.976500476501348e-101),
+    (65535, 79876.8, 1.0008039347084139e-300),
+    (1048575, 0.0, 1.0),
+    (1048575, 10485.75, 1.0),
+    (1048575, 1048575.0, 0.49981634444708567),
+    (1048575, 1042782.38401, 0.9999692433223869),
+    (1048575, 1054367.61599, 3.260503553652661e-05),
+    (1048575, 1057810.0, 1.0158962689134995e-10),
+    (1048575, 1079680.0, 1.0594667150360583e-100),
+    (1048575, 1103140.0, 1.0792205339255512e-300),
+    (16777215, 0.0, 1.0),
+    (16777215, 167772.15, 1.0),
+    (16777215, 16777215.0, 0.49995408613275266),
+    (16777215, 16754044.5257, 0.9999685591932377),
+    (16777215, 16800385.4743, 3.1902879468084e-05),
+    (16777215, 16814100.0, 9.889883484912308e-11),
+    (16777215, 16900700.0, 1.1801112005492252e-100),
+    (16777215, 16992700.0, 1.2096319141489629e-300),
+]
+
+
+def test_chi_square_pvalue_matches_pinned_scipy_values():
+    for df, stat, want in _SCIPY_PVALUES:
+        got = chi_square_pvalue(stat, df)
+        assert abs(got - want) <= 1e-8 * want, (df, stat, got, want)
+
+
+def test_chi_square_pvalue_converges_at_block_len_cap():
+    # At m = 24 and chi-square = df the series needs ~25,000 terms; the
+    # 10^4-term oracle above stops short there (0.50023 for 0.49995).
+    df = (1 << BLOCK_LEN_CAP) - 1
+    for stat, want in ((float(df), 0.49995408613275266),    # series, x = a
+                       (df + 1.5, 0.49985077993831345),     # series, x = a + 3/4
+                       (df + 2.5, 0.4997819091505728)):     # fraction, x = a + 5/4
+        got = chi_square_pvalue(stat, df)
+        assert abs(got - want) <= 1e-8 * want, (stat, got, want)
+
+
+def test_chi_square_pvalue_nan_raises():
+    with pytest.raises(ValueError):
+        chi_square_pvalue(math.nan, 3)
+
+
+def test_chi_square_pvalue_infinite_statistic_is_zero():
+    assert chi_square_pvalue(math.inf, 3) == 0.0
+    assert chi_square_pvalue(math.inf, (1 << BLOCK_LEN_CAP) - 1) == 0.0
+
+
+def test_gammaincc_raises_instead_of_looping_without_convergence():
+    with pytest.raises(ArithmeticError):
+        _gammaincc(2.5, math.nan)
 
 
 def test_reports():
