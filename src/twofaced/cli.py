@@ -20,7 +20,7 @@ from . import combine as combine_mod
 from . import stats as stats_mod
 from .bitseq import FORMATS, BitSequence, decode_stream, encode_stream
 from .errors import CapacityError, ConfigurationError, SourceExhaustedError
-from .expander import ExpanderConfig, expand
+from .expander import DEFAULT_PRECISION, ExpanderConfig, expand
 from .generator import generate, init_fixed, init_uniform
 from .kernels import KernelSpec, Variant
 from .sources import (CounterBitSource, FileBitSource, OSBitSource,
@@ -114,7 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     seed.add_argument("--seed-file", metavar="PATH", help="seed bits, packed file")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--length", type=int, required=True)
-    p.add_argument("--precision", type=int, default=62)
+    p.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
+                   help="coder register width in bits, in [16, 62] (default %(default)s)")
     _add_format(p)
 
     return parser

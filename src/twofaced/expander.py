@@ -8,16 +8,20 @@ a fixed-precision arithmetic decoder, and the conversion of
 :mod:`.transform` turns that biased stream into the output.  The whole
 map is deterministic in (seed, config).
 
-The coder is an integer range coder in the classic reference style:
-`precision`-bit low/high registers, carry handling via pending inverted
-bits, termination by a single 1 bit.  A decoder that runs past the end
-of the code word reads zeros (decoding is total; the induced tail bias
-is a documented artifact of finite seeds).  The exact bit behavior is
-pinned by golden vectors in the test suite.
+The coder is an integer range coder in the classic reference style
+(Witten, Neal & Cleary 1987): `precision`-bit low/high registers, carry
+handling via pending inverted bits, termination by a single 1 bit.  The
+encoder steps symbol by symbol; the decoder steps through runs of the
+more probable symbol, renormalising only where a run ends, with output
+bit-identical to a per-symbol decoder.  A decoder that runs past the
+end of the code word reads zeros (decoding is total; the induced tail
+bias is a documented artifact of finite seeds).  The exact bit behavior
+is pinned by golden vectors in the test suite.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -81,20 +85,14 @@ def _freq_split(pi: float, precision: int) -> tuple[int, int]:
     return f0, total
 
 
-class _RangeCoder:
+class _Encoder:
     def __init__(self, precision: int):
         self.precision = precision
-        self.full = 1 << precision
-        self.mask = self.full - 1
-        self.top = self.full >> 1
+        self.mask = (1 << precision) - 1
+        self.top = 1 << (precision - 1)
         self.second = self.top >> 1
         self.low = 0
         self.high = self.mask
-
-
-class _Encoder(_RangeCoder):
-    def __init__(self, precision: int):
-        super().__init__(precision)
         self.out: list[int] = []
         self.pending = 0
 
@@ -121,43 +119,6 @@ class _Encoder(_RangeCoder):
         # The interval always straddles the midpoint here, so the point
         # "1 followed by zeros" lies inside it.
         self.out.append(1)
-
-
-class _Decoder(_RangeCoder):
-    def __init__(self, precision: int, code: np.ndarray):
-        super().__init__(precision)
-        self._code_bits = code
-        self._next = 0
-        self.code = 0
-        for _ in range(precision):
-            self.code = (self.code << 1) | self._read_bit()
-
-    def _read_bit(self) -> int:
-        # Exhausted code words continue with zeros: decoding is total.
-        if self._next < self._code_bits.size:
-            bit = int(self._code_bits[self._next])
-            self._next += 1
-            return bit
-        return 0
-
-    def decode(self, f0: int, total: int) -> int:
-        span = self.high - self.low + 1
-        offset = self.code - self.low
-        value = ((offset + 1) * total - 1) // span
-        symbol = 0 if value < f0 else 1
-        cum_lo, cum_hi = (0, f0) if symbol == 0 else (f0, total)
-        self.high = self.low + (span * cum_hi) // total - 1
-        self.low = self.low + (span * cum_lo) // total
-        while ((self.low ^ self.high) & self.top) == 0:
-            self.code = ((self.code << 1) & self.mask) | self._read_bit()
-            self.low = (self.low << 1) & self.mask
-            self.high = ((self.high << 1) & self.mask) | 1
-        while (self.low & ~self.high & self.second) != 0:
-            self.code = (self.code & self.top) | ((self.code << 1) & (self.mask >> 1)) \
-                | self._read_bit()
-            self.low = (self.low << 1) & (self.mask >> 1)
-            self.high = ((self.high << 1) & (self.mask >> 1)) | self.top | 1
-        return symbol
 
 
 def bernoulli_encode(x, pi: float, precision: int = DEFAULT_PRECISION) -> BitSequence:
@@ -187,14 +148,71 @@ def bernoulli_decode(code, pi: float, n: int,
         raise ValueError(f"pi must lie strictly inside (0, 1), got {pi!r}")
     if n < 0:
         raise ValueError("output length must be nonnegative")
-    if n == 0:
-        return BitSequence()
     f0, total = _freq_split(pi, precision)
-    dec = _Decoder(precision, as_bit_array(code))
-    out = bytearray(n)
-    for i in range(n):
-        out[i] = dec.decode(f0, total)
-    return BitSequence._wrap(np.frombuffer(bytes(out), dtype=np.uint8))
+    sh = total.bit_length() - 1  # total is a power of two
+    f1 = total - f0
+    mask = (1 << precision) - 1
+    half_mask = mask >> 1
+    top = 1 << (precision - 1)
+    second = top >> 1
+    # Exhausted code words continue with zeros: decoding is total.
+    read = chain(as_bit_array(code).tolist(), repeat(0)).__next__
+    point = 0
+    for _ in range(precision):
+        point = (point << 1) | read()
+    low, high = 0, mask
+    ones = f0 <= f1  # the more probable symbol is 1
+    out = bytearray([ones]) * n
+    i = 0
+    while True:
+        # Decode a run of the more probable symbol.  Within the run one
+        # end of the interval stays put (`high` for 1s, `low` for 0s) and
+        # only the span shrinks, so every decision compares the span with
+        # a threshold fixed for the run: the other symbol comes next iff
+        # span <= lps_at (the coder's test `point - low < span * f0 //
+        # total` solved for span), and a renormalisation is due iff
+        # span <= renorm_at (both ends in one half of the range, or both
+        # inside its middle half [second, top + second)).
+        span = high - low + 1
+        if ones:
+            lps_at = ((high - point) << sh) // f1
+            renorm_at = high + 1 - (top if high >= top + second else second)
+            stop = max(lps_at, renorm_at)
+            for i in range(i, n):
+                if span <= stop:
+                    break
+                span -= (span * f0) >> sh
+            else:
+                break
+            low = high + 1 - span
+            if span > renorm_at:  # the run ends in a 0 at position i
+                high = low + ((span * f0) >> sh) - 1
+                out[i] = 0
+                i += 1
+        else:
+            lps_at = (((point - low + 1) << sh) - 1) // f0
+            renorm_at = (top + second if low >= second else top) - low
+            stop = max(lps_at, renorm_at)
+            for i in range(i, n):
+                if span <= stop:
+                    break
+                span = (span * f0) >> sh
+            else:
+                break
+            high = low + span - 1
+            if span > renorm_at:  # the run ends in a 1 at position i
+                low += (span * f0) >> sh
+                out[i] = 1
+                i += 1
+        while ((low ^ high) & top) == 0:
+            point = ((point << 1) & mask) | read()
+            low = (low << 1) & mask
+            high = ((high << 1) & mask) | 1
+        while low & ~high & second:
+            point = (point & top) | ((point << 1) & half_mask) | read()
+            low = (low << 1) & half_mask
+            high = ((high << 1) & half_mask) | top | 1
+    return BitSequence._wrap(np.frombuffer(out, dtype=np.uint8))
 
 
 def expand(seed, config: ExpanderConfig) -> BitSequence:

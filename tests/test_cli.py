@@ -185,6 +185,15 @@ def test_expand_runtime_error_exit_code():
     assert code == 1 and err != ""
 
 
+def test_expand_precision_out_of_range_exit_code():
+    seed_hex = next_bits(CounterBitSource(21), 128).to_hex()
+    for precision in ("15", "63"):
+        code, out, err = invoke(["expand", "--seed-hex", seed_hex, "--order", "16",
+                                 "--length", "512", "--precision", precision])
+        assert code == 1 and out == b""
+        assert err.count("\n") == 1 and err.startswith("twofaced expand: ")
+
+
 def test_unknown_flag_exits_2():
     code, _, _ = invoke(["gen", "--order", "2", "--pi", "0.5", "--length", "4",
                          "--seed", "1", "--frobnicate"])
