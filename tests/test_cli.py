@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import subprocess
@@ -192,6 +193,36 @@ def test_expand_precision_out_of_range_exit_code():
                                  "--length", "512", "--precision", precision])
         assert code == 1 and out == b""
         assert err.count("\n") == 1 and err.startswith("twofaced expand: ")
+
+
+# sha256 of stdout for each BAR command, computed before the variant rule
+# moved into `kernels`; the input stream is `gen` with the same flags.
+_BAR_DIGESTS = {
+    "gen": "9d3ede15d706c87ae81c25f81ebea67d1f03adfee924b401a048e8bb93c1f5a3",
+    "transform": "ea9d43a151d74abaf7088526632fb9eca1b73c29bd38a61a9c1724a624c85ffa",
+    "transform --inverse": "ff8a58840232ccb88de37e8d90cd73377bbf798489d9e0d62767ee737c328298",
+    "whiten": "1e5e206d9c4d9c755b9963cfd334587fbc065b098f450252b850645adf7febe1",
+}
+
+
+def test_bar_variant_golden_digests():
+    _, stream, _ = invoke(["gen", "--order", "6", "--pi", "0.3", "--length", "3000",
+                           "--seed", "9", "--variant", "bar"])
+    runs = {
+        "gen": (["gen", "--order", "6", "--pi", "0.3", "--length", "3000",
+                 "--seed", "9", "--variant", "bar"], b""),
+        "transform": (["transform", "--init", "101101", "--variant", "bar"], stream),
+        "transform --inverse": (["transform", "--init", "101101", "--variant", "bar",
+                                 "--inverse"], stream),
+        "whiten": (["whiten", "--order", "5", "--pi", "0.77", "--seed", "4",
+                    "--variant", "bar"], stream),
+    }
+    got = {}
+    for name, (argv, data) in runs.items():
+        code, out, err = invoke(argv, data)
+        assert code == 0 and err == "", (name, err)
+        got[name] = hashlib.sha256(out).hexdigest()
+    assert got == _BAR_DIGESTS
 
 
 def test_unknown_flag_exits_2():

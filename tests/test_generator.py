@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,6 +98,33 @@ def test_generate_matches_repeated_next_bit():
         assert list(whole) == single
         assert state_a.context == state_b.context
         assert state_a.steps_emitted == state_b.steps_emitted
+
+
+# sha256 of generate's packed output (5,000 bits from a uniform start at
+# seed 9) followed by the final window, computed before the pi-letter rule
+# moved into `kernels`; pins the BAR sampler and pi on both sides of 1/2.
+_GENERATE_DIGESTS = {
+    ("plain", 5, 0.2): "a44a9c01d3b513f558ce2fd66412d9f590b32af861c376be085f9cd5483e6017",
+    ("plain", 5, 0.77): "39b0802afe0096b4821ec182e7bfcbfe55a38753932035a092b9a3d274e8166c",
+    ("plain", 16, 0.2): "e111aec8427cb7461c999b6a1b79c544d9999793d9e307c84c8fd27e08d91416",
+    ("plain", 16, 0.77): "18242d98faadcf60893b11597f36c50c3bbeb514145c42684037e3dde210a758",
+    ("bar", 5, 0.2): "b4fcc29e9cd305f3f6c6dacbd8343e1cfd46df1856e0b935de2717e99921145e",
+    ("bar", 5, 0.77): "b06f74e30909d6d83560c78171e62bed0b371a9837a862c414b37da4a64a2278",
+    ("bar", 16, 0.2): "80c34915c325954fe77baedd407d1b889e0d72342352c683887757e7b3dab47a",
+    ("bar", 16, 0.77): "d08f8414efd857b2d5b7221203347bcd3a27347971453d5027412160ee8d289a",
+}
+
+
+def test_generate_golden_digests():
+    got = {}
+    for variant, order, pi in _GENERATE_DIGESTS:
+        src = CounterBitSource(9)
+        state = init_uniform(KernelSpec(Variant(variant), order, pi), src)
+        out = generate(state, 5000, UniformRealSource(src))
+        h = hashlib.sha256(out.to_packed())
+        h.update(str(state.context).encode())
+        got[variant, order, pi] = h.hexdigest()
+    assert got == _GENERATE_DIGESTS
 
 
 def test_state_distribution_validation():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from twofaced.bitseq import BitSequence
 from twofaced.generator import StateDistribution, exact_block_distribution
 from twofaced.kernels import KernelSpec, Variant, int_to_context
+from twofaced.sources import CounterBitSource, next_bits
 from twofaced.transform import (TransformState, inverse_transform, m_select,
                                 m_select_definitional, transform,
                                 transform_chunk)
@@ -89,6 +91,30 @@ def test_exhaustive_small_inputs_match_definitional_path():
                     for x in itertools.product((0, 1), repeat=n):
                         assert list(transform(x, v, variant)) == \
                             _slow_transform(x, v, variant)
+
+
+# sha256 of the packed transform and inverse_transform of 5,000 counter
+# bits (seed 9) under initial words of length 1, 7 and 16, computed before
+# the variant offset moved into `kernels`.
+_CONVERSION_DIGESTS = {
+    ("plain", "transform"): "3f9c246075b46e1e4e3ce566cae22eee88372d7a3535aaf0fd3b7bc4186545d1",
+    ("plain", "inverse"): "2250260e4595c8588bf2b6f5df2f02aab18261f1b273c048aee923a5c88caba0",
+    ("bar", "transform"): "e24e38dd3acd5cdd4d7b8a5f58a95d8fb40d55b7539a705486fb0ec61e2d5203",
+    ("bar", "inverse"): "3d92a6435bc720329b54dc71c717ac2daab791e71e2c4fd18fe2e7e92f4d1000",
+}
+
+
+def test_conversion_golden_digests():
+    x = next_bits(CounterBitSource(9), 5000)
+    words = ("1", "1011001", "0110100110010111")
+    got = {}
+    for variant, op in _CONVERSION_DIGESTS:
+        fn = transform if op == "transform" else inverse_transform
+        h = hashlib.sha256()
+        for v in words:
+            h.update(fn(x, v, Variant(variant)).to_packed())
+        got[variant, op] = h.hexdigest()
+    assert got == _CONVERSION_DIGESTS
 
 
 def test_determinism():
