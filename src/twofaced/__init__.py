@@ -6,52 +6,8 @@ conversion (:mod:`.transform`), XOR combination and the growing-order
 construction (:mod:`.combine`), a block-frequency and entropy test
 suite (:mod:`.stats`), seed expansion through an arithmetic decoder
 (:mod:`.expander`), randomness-source abstractions (:mod:`.sources`),
-and a composable CLI (:mod:`.cli`).
+and a composable CLI (:mod:`.cli`).  Import names from those modules;
+the package root holds only ``__version__``.
 """
 
-from .bitseq import BitSequence, decode_stream, encode_stream
-from .combine import (ComponentSpec, CutSequence, TwiceTwoFacedConfig,
-                      component_stream, default_config, load_config,
-                      parse_config, render_config, twice_two_faced,
-                      twice_two_faced_from_config, whiten, xor_streams)
-from .errors import CapacityError, ConfigurationError, SourceExhaustedError
-from .expander import (ExpanderConfig, bernoulli_decode, bernoulli_encode,
-                       entropy_inverse, expand)
-from .generator import (GeneratorState, StateDistribution,
-                        exact_block_distribution, exact_conditional_entropy,
-                        generate, init_fixed, init_uniform, limit_entropy,
-                        next_bit, propagate)
-from .kernels import (KernelSpec, KernelTable, Variant, cond_prob,
-                      cond_prob_recursive, kernel_table)
-from .sources import (BitSource, CounterBitSource, FileBitSource, OSBitSource,
-                      ReplayBitSource, ReplayRealSource, UniformRealSource,
-                      next_bits)
-from .stats import (BlockStats, analyze, block_frequencies, chi_square_pvalue,
-                    empirical_conditional_entropy, occurrence_count,
-                    report_csv, report_text)
-from .transform import (TransformState, inverse_transform, m_select,
-                        m_select_definitional, transform, transform_chunk)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BitSequence", "decode_stream", "encode_stream",
-    "KernelSpec", "KernelTable", "Variant", "cond_prob",
-    "cond_prob_recursive", "kernel_table",
-    "GeneratorState", "StateDistribution", "exact_block_distribution",
-    "exact_conditional_entropy", "generate", "init_fixed", "init_uniform",
-    "limit_entropy", "next_bit", "propagate",
-    "TransformState", "inverse_transform", "m_select",
-    "m_select_definitional", "transform", "transform_chunk",
-    "ComponentSpec", "CutSequence", "TwiceTwoFacedConfig", "component_stream",
-    "default_config", "load_config", "parse_config", "render_config",
-    "twice_two_faced", "twice_two_faced_from_config", "whiten", "xor_streams",
-    "BlockStats", "analyze", "block_frequencies", "chi_square_pvalue",
-    "empirical_conditional_entropy", "occurrence_count", "report_csv",
-    "report_text",
-    "ExpanderConfig", "bernoulli_decode", "bernoulli_encode",
-    "entropy_inverse", "expand",
-    "BitSource", "CounterBitSource", "FileBitSource", "OSBitSource",
-    "ReplayBitSource", "ReplayRealSource", "UniformRealSource", "next_bits",
-    "CapacityError", "ConfigurationError", "SourceExhaustedError",
-]

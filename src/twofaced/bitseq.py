@@ -89,6 +89,8 @@ class BitSequence:
     def from_packed(cls, data: bytes, n: int | None = None) -> "BitSequence":
         if n is None:
             n = 8 * len(data)
+        if n < 0:
+            raise ValueError(f"bit count must be nonnegative, got {n}")
         if n > 8 * len(data):
             raise ValueError(f"{len(data)} bytes hold fewer than {n} bits")
         raw = np.frombuffer(data, dtype=np.uint8)

@@ -131,12 +131,8 @@ def _write_output(stdout, seq: BitSequence, fmt: str) -> None:
         stdout.write(b"\n")
 
 
-def _variant(name: str) -> Variant:
-    return Variant.BAR if name == "bar" else Variant.PLAIN
-
-
 def _cmd_gen(args, parser, stdin, stdout) -> int:
-    kernel = KernelSpec(_variant(args.variant), args.order, args.pi)
+    kernel = KernelSpec(Variant(args.variant), args.order, args.pi)
     source = _entropy_source(args, parser)
     if args.init is not None:
         state = init_fixed(kernel, args.init)
@@ -153,7 +149,7 @@ def _cmd_transform(args, parser, stdin, stdout) -> int:
         parser.error(f"--init length {len(v)} does not match --order {args.order}")
     seq = _read_input(stdin, args.format)
     op = inverse_transform if args.inverse else transform
-    _write_output(stdout, op(seq, v, _variant(args.variant)), args.format)
+    _write_output(stdout, op(seq, v, Variant(args.variant)), args.format)
     return 0
 
 
@@ -180,7 +176,7 @@ def _cmd_whiten(args, parser, stdin, stdout) -> int:
     else:
         if args.pi is None:
             parser.error("--pi is required with --order")
-        kernel = KernelSpec(_variant(args.variant), args.order, args.pi)
+        kernel = KernelSpec(Variant(args.variant), args.order, args.pi)
         out = combine_mod.whiten(seq, kernel, _entropy_source(args, parser))
     _write_output(stdout, out, args.format)
     return 0

@@ -21,6 +21,7 @@ components cross between integer and bit form in time linear in k.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -49,7 +50,10 @@ class CutSequence:
     cuts: tuple[int, ...]
 
     def __post_init__(self):
-        cuts = tuple(int(c) for c in self.cuts)
+        try:
+            cuts = tuple(operator.index(c) for c in self.cuts)
+        except TypeError:
+            raise ValueError(f"cuts must be integers, got {self.cuts!r}") from None
         if any(c < 1 for c in cuts):
             raise ValueError("cuts must be positive")
         if any(b <= a for a, b in zip(cuts, cuts[1:])):

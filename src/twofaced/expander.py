@@ -20,6 +20,7 @@ is pinned by golden vectors in the test suite.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -42,6 +43,12 @@ class ExpanderConfig:
     precision: int = DEFAULT_PRECISION
 
     def __post_init__(self):
+        for name in ("order", "target_len", "precision"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.order < 1:
             raise ValueError("order must be positive")
         if self.target_len < 1:

@@ -21,8 +21,8 @@ import numpy as np
 
 from .bitseq import BitSequence, as_bit_array
 from .errors import CapacityError
-from .kernels import (KernelSpec, TABLE_ORDER_CAP, Variant, context_to_int,
-                      int_to_context, kernel_table)
+from .kernels import (KernelSpec, TABLE_ORDER_CAP, context_to_int,
+                      int_to_context, kernel_table, pi_letter)
 from .sources import BitSource
 
 EXTENSION_CAP = 8
@@ -61,20 +61,9 @@ def init_fixed(kernel: KernelSpec, word) -> GeneratorState:
     return GeneratorState(kernel, context_to_int(bits))
 
 
-def next_bit(state: GeneratorState, reals) -> int:
-    """Emit one bit: 0 iff the uniform draw is < P(0 | context)."""
-    k = state.kernel.order
-    flag = 1 if state.kernel.variant is Variant.BAR else 0
-    par = (state.context.bit_count() & 1) ^ flag
-    p0 = state.kernel.pi if par == 0 else 1.0 - state.kernel.pi
-    bit = 0 if reals.next_real() < p0 else 1
-    state.context = ((state.context << 1) | bit) & ((1 << k) - 1)
-    state.steps_emitted += 1
-    return bit
-
-
 def generate(state: GeneratorState, n: int, reals) -> BitSequence:
-    """Emit n bits, advancing the state; equivalent to n next_bit calls."""
+    """Emit n bits, advancing the state: the i-th is 0 iff the i-th draw
+    is below P(0 | the window at that step)."""
     if n < 0:
         raise ValueError("length must be nonnegative")
     if n == 0:
@@ -82,41 +71,21 @@ def generate(state: GeneratorState, n: int, reals) -> BitSequence:
     kernel = state.kernel
     k = kernel.order
     u = reals.reals(n)
-    # Per-step decisions precomputed for both parity branches.
+    # Per-step decisions precomputed for both pi-letters; the pi-letter
+    # flips with the window parity as one bit enters and one leaves.
     ge_pi = (u >= kernel.pi).tolist()
     ge_q = (u >= 1.0 - kernel.pi).tolist()
-    flag = 1 if kernel.variant is Variant.BAR else 0
     buf = bytearray(state.context_bits())
-    par = (state.context.bit_count() & 1) ^ flag
+    letter = pi_letter(kernel.variant, state.context)
     append = buf.append
     for i in range(n):
-        y = ge_q[i] if par else ge_pi[i]
+        y = ge_q[i] if letter else ge_pi[i]
         append(y)
-        par ^= y ^ buf[i]
+        letter ^= y ^ buf[i]
     out = bytes(buf[k:])
     state.context = context_to_int(buf[-k:])
     state.steps_emitted += n
     return BitSequence._wrap(np.frombuffer(out, dtype=np.uint8))
-
-
-def generate_by_conversion(state: GeneratorState, n: int, reals) -> BitSequence:
-    """Alternative sampling route with the same output law as `generate`:
-    threshold the draws into a biased stream (0 iff draw < pi) and feed
-    it through the stream conversion seeded with the current window.
-
-    The two routes agree in distribution, not bit-for-bit under a shared
-    draw sequence; tests cross-check them against the exact block laws.
-    """
-    from .transform import TransformState, transform_chunk
-    if n < 0:
-        raise ValueError("length must be nonnegative")
-    kernel = state.kernel
-    u = reals.reals(n)
-    window = TransformState(kernel.order, state.context, 0, kernel.variant)
-    y = transform_chunk(window, (u >= kernel.pi).astype(np.uint8))
-    state.context = window.context
-    state.steps_emitted += n
-    return y
 
 
 @dataclass(frozen=True)

@@ -7,19 +7,22 @@ other.  Which letter receives ``pi`` is decided by the context parity:
 the PLAIN family gives ``pi`` to the bit equal to the XOR of the context
 bits, the BAR family to its complement.
 
+`pi_letter` is that rule, on the window as an integer; it is the only
+place in the package that tells the variants apart.  The sampler, the
+tables and the stream conversion all take the pi-letter from it.
+
 The inductive definition doubles the context one (oldest) bit at a time:
 a leading 0 keeps the family, a leading 1 swaps PLAIN and BAR, down to
-the order-1 base cases.  ``cond_prob_recursive`` implements that
-recursion literally; ``cond_prob`` implements the parity closed form.
-Both resolve to the two-valued symbol {pi, 1 - pi} before converting to
-float, so they agree exactly, with no tolerance.
+the order-1 base cases.  ``twofaced._reference.cond_prob_recursive``
+implements that recursion literally; ``cond_prob`` implements the parity
+closed form.  Both resolve to the two-valued symbol {pi, 1 - pi} before
+converting to float, so they agree exactly, with no tolerance.
 """
 from __future__ import annotations
 
 import enum
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -89,33 +92,10 @@ def int_to_context(value: int, order: int) -> tuple[int, ...]:
     return tuple(bits[bits.size - order:].tolist())
 
 
-def _parity(bits) -> int:
-    p = 0
-    for b in bits:
-        p ^= b
-    return p
-
-
-def pi_branch(variant: Variant, next_bit: int, context) -> bool:
-    """Closed form: does P(next_bit | context) equal pi (vs 1 - pi)?"""
-    par = _parity(context)
-    same = next_bit == par
-    return same if variant is Variant.PLAIN else not same
-
-
-@lru_cache(maxsize=None)
-def _pi_branch_recursive(variant: Variant, next_bit: int, context: tuple) -> bool:
-    if len(context) == 1:
-        same = next_bit == context[0]
-        return same if variant is Variant.PLAIN else not same
-    head, rest = context[0], context[1:]
-    return _pi_branch_recursive(variant if head == 0 else variant.flipped(),
-                                next_bit, rest)
-
-
-def pi_branch_recursive(variant: Variant, next_bit: int, context) -> bool:
-    """Inductive definition of the pi/(1-pi) branch, memoized."""
-    return _pi_branch_recursive(variant, next_bit, tuple(context))
+def pi_letter(variant: Variant, window: int) -> int:
+    """The letter with probability pi after a context window, given as an
+    integer: the window's parity for PLAIN, its complement for BAR."""
+    return (window.bit_count() & 1) ^ (variant is Variant.BAR)
 
 
 def _check_bit(next_bit: int) -> int:
@@ -126,16 +106,9 @@ def _check_bit(next_bit: int) -> int:
 
 def cond_prob(spec: KernelSpec, next_bit: int, context) -> float:
     """P(next_bit | context) by the parity closed form."""
-    bits = as_context(context, spec.order)
+    window = context_to_int(as_context(context, spec.order))
     _check_bit(next_bit)
-    return spec.pi if pi_branch(spec.variant, next_bit, bits) else 1.0 - spec.pi
-
-
-def cond_prob_recursive(spec: KernelSpec, next_bit: int, context) -> float:
-    """P(next_bit | context) by the literal order-doubling recursion."""
-    bits = as_context(context, spec.order)
-    _check_bit(next_bit)
-    return spec.pi if pi_branch_recursive(spec.variant, next_bit, bits) else 1.0 - spec.pi
+    return spec.pi if next_bit == pi_letter(spec.variant, window) else 1.0 - spec.pi
 
 
 def _word_parities(order: int) -> np.ndarray:
@@ -179,11 +152,10 @@ def kernel_table(spec: KernelSpec, cap: int = TABLE_ORDER_CAP) -> KernelTable:
     """Materialize the 2^k-row table of conditional probabilities."""
     if spec.order > cap:
         raise CapacityError(f"order {spec.order} exceeds table cap {cap}")
-    par = _word_parities(spec.order)
-    flag = 0 if spec.variant is Variant.PLAIN else 1
+    letter = _word_parities(spec.order) ^ np.uint8(pi_letter(spec.variant, 0))
     pi, q = spec.pi, 1.0 - spec.pi
-    p0 = np.where(par == flag, pi, q)
-    p1 = np.where(par == 1 - flag, pi, q)
+    p0 = np.where(letter == 0, pi, q)
+    p1 = np.where(letter == 1, pi, q)
     p0.setflags(write=False)
     p1.setflags(write=False)
     return KernelTable(spec, p0, p1)

@@ -134,29 +134,6 @@ class UniformRealSource:
         mantissa = rows.view(">u8").ravel() >> np.uint64(3)
         return mantissa.astype(np.float64) * 2.0 ** -53
 
-    def next_real(self) -> float:
-        return float(self.reals(1)[0])
-
-
-class ReplayRealSource:
-    """Canned uniform draws, for tests and worked examples."""
-
-    def __init__(self, values):
-        self._values = [float(v) for v in values]
-        self._pos = 0
-
-    def reals(self, n: int) -> np.ndarray:
-        if n < 0:
-            raise ValueError("draw count must be nonnegative")
-        if self._pos + n > len(self._values):
-            raise SourceExhaustedError("replayed real source exhausted")
-        out = np.array(self._values[self._pos:self._pos + n], dtype=np.float64)
-        self._pos += n
-        return out
-
-    def next_real(self) -> float:
-        return float(self.reals(1)[0])
-
 
 def next_bits(source: BitSource, n: int) -> BitSequence:
     """Draw n bits from a source as a BitSequence."""

@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 
+from twofaced._reference import cond_prob_recursive
 from twofaced.bitseq import BitSequence
 from twofaced.combine import CutSequence, twice_two_faced
 from twofaced.expander import (ExpanderConfig, bernoulli_decode,
@@ -14,8 +15,7 @@ from twofaced.expander import (ExpanderConfig, bernoulli_decode,
 from twofaced.generator import (StateDistribution, exact_block_distribution,
                                 exact_conditional_entropy, generate,
                                 init_uniform, limit_entropy, propagate)
-from twofaced.kernels import (KernelSpec, Variant, cond_prob,
-                              cond_prob_recursive, int_to_context)
+from twofaced.kernels import KernelSpec, Variant, cond_prob, int_to_context
 from twofaced.sources import CounterBitSource, UniformRealSource, next_bits
 from twofaced.stats import block_frequencies, empirical_conditional_entropy
 from twofaced.transform import transform

@@ -43,6 +43,15 @@ def test_from_packed_length_check():
         BitSequence.from_packed(b"\x00", 9)
 
 
+def test_negative_bit_count_rejected():
+    # numpy's unpackbits would read a negative count as "drop from the end"
+    with pytest.raises(ValueError):
+        BitSequence.from_packed(b"\xff", -3)
+    with pytest.raises(ValueError):
+        BitSequence.from_hex("ff", -1)
+    assert len(BitSequence.from_packed(b"\xff", 0)) == 0
+
+
 def test_hex_lowercase():
     h = BitSequence("00000001" * 2).to_hex()
     assert h == h.lower() == "8080"

@@ -45,6 +45,14 @@ def test_cut_sequence_validation():
         CutSequence((0, 1))
 
 
+def test_cut_sequence_takes_integral_values_only():
+    cuts = CutSequence((np.int64(2), 4))
+    assert cuts.cuts == (2, 4) and type(cuts.cuts[0]) is int
+    for bad in ((2.7, 4), (2.0, 4), ("2", 4)):
+        with pytest.raises(ValueError):
+            CutSequence(bad)
+
+
 def test_case_structure_with_fixed_components():
     # positions 1..2 take component 1 alone, 3..4 add component 2,
     # 5.. adds component 3

@@ -58,6 +58,16 @@ def test_expander_config_validation():
         ExpanderConfig(2, 10, precision=8)
 
 
+def test_expander_config_takes_integral_values_only():
+    config = ExpanderConfig(np.int64(16), np.int64(4096), np.int64(24))
+    assert (config.order, config.target_len, config.precision) == (16, 4096, 24)
+    assert all(type(v) is int
+               for v in (config.order, config.target_len, config.precision))
+    for bad in ((2.7, 4096), (16.0, 4096), (16, 4096.0), (16, 4096, 24.0)):
+        with pytest.raises(ValueError):
+            ExpanderConfig(*bad)
+
+
 def test_coder_golden_vectors():
     x = BitSequence("1011001110001111")
     assert bernoulli_encode(x, 0.3).to_ascii01() == "01101001110011"

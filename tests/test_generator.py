@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twofaced._reference import (ReplayRealSource, cond_prob_recursive,
+                                 generate_by_conversion)
 from twofaced.errors import CapacityError, SourceExhaustedError
 from twofaced.generator import (StateDistribution,
                                 exact_block_distribution,
                                 exact_conditional_entropy, generate,
-                                generate_by_conversion, init_fixed,
-                                init_uniform, limit_entropy, next_bit,
+                                init_fixed, init_uniform, limit_entropy,
                                 propagate)
 from twofaced.kernels import KernelSpec, Variant
 from twofaced.sources import (CounterBitSource, ReplayBitSource,
-                              ReplayRealSource, UniformRealSource)
+                              UniformRealSource)
 from twofaced.stats import chi_square_pvalue
 
 
@@ -56,15 +57,16 @@ def test_init_uniform_is_uniform_chi_square():
 
 
 def test_next_bit_inverse_transform_rule():
-    # context 00, P(0|00) = pi = 0.2; a draw below it emits 0
+    # one step of generate: context 00, P(0|00) = pi = 0.2; a draw below
+    # it emits 0
     state = init_fixed(_kernel(2, 0.2), "00")
-    assert next_bit(state, ReplayRealSource([0.1])) == 0
+    assert list(generate(state, 1, ReplayRealSource([0.1]))) == [0]
     assert state.context_bits() == (0, 0)
     # context 01, P(0|01) = 0.8; 0.1 emits 0, 0.9 emits 1
     state = init_fixed(_kernel(2, 0.2), "01")
-    assert next_bit(state, ReplayRealSource([0.1])) == 0
+    assert list(generate(state, 1, ReplayRealSource([0.1]))) == [0]
     state = init_fixed(_kernel(2, 0.2), "01")
-    assert next_bit(state, ReplayRealSource([0.9])) == 1
+    assert list(generate(state, 1, ReplayRealSource([0.9]))) == [1]
     assert state.context_bits() == (1, 1)
     assert state.steps_emitted == 1
 
@@ -86,18 +88,24 @@ def test_generate_deterministic_and_reproducible():
 
 
 def test_generate_matches_repeated_next_bit():
+    # generate against a per-step loop on the same draws: emit 0 iff the
+    # draw is below P(0 | window) from the kernel's literal recursion
     for variant in Variant:
+        spec = _kernel(5, 0.2, variant)
         src_a = CounterBitSource(3)
-        state_a = init_uniform(_kernel(5, 0.2, variant), src_a)
+        state_a = init_uniform(spec, src_a)
         whole = generate(state_a, 400, UniformRealSource(src_a))
 
         src_b = CounterBitSource(3)
-        state_b = init_uniform(_kernel(5, 0.2, variant), src_b)
-        reals_b = UniformRealSource(src_b)
-        single = [next_bit(state_b, reals_b) for _ in range(400)]
+        window = list(init_uniform(spec, src_b).context_bits())
+        single = []
+        for u in UniformRealSource(src_b).reals(400):
+            bit = 0 if u < cond_prob_recursive(spec, 0, window[-5:]) else 1
+            single.append(bit)
+            window.append(bit)
         assert list(whole) == single
-        assert state_a.context == state_b.context
-        assert state_a.steps_emitted == state_b.steps_emitted
+        assert state_a.context_bits() == tuple(window[-5:])
+        assert state_a.steps_emitted == 400
 
 
 # sha256 of generate's packed output (5,000 bits from a uniform start at

@@ -4,9 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from twofaced.errors import CapacityError
+from twofaced._reference import cond_prob_recursive
 from twofaced.kernels import (KernelSpec, Variant, as_context, cond_prob,
-                              cond_prob_recursive, context_to_int,
-                              int_to_context, kernel_table)
+                              context_to_int, int_to_context, kernel_table)
 
 pis = st.floats(min_value=1e-6, max_value=1.0 - 1e-6,
                 allow_nan=False, allow_infinity=False)

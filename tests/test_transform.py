@@ -10,8 +10,8 @@ from twofaced.bitseq import BitSequence
 from twofaced.generator import StateDistribution, exact_block_distribution
 from twofaced.kernels import KernelSpec, Variant, int_to_context
 from twofaced.sources import CounterBitSource, next_bits
-from twofaced.transform import (TransformState, inverse_transform, m_select,
-                                m_select_definitional, transform,
+from twofaced._reference import m_select_definitional
+from twofaced.transform import (TransformState, inverse_transform, transform,
                                 transform_chunk)
 
 bit_lists = st.lists(st.integers(0, 1), max_size=128)
@@ -32,16 +32,19 @@ def test_reference_vector():
 
 
 def test_m_select_examples():
-    assert m_select(2, 1, "01") == 0
-    assert m_select(2, 0, "10") == 1
-    assert m_select(1, 0, "0") == 0
+    # the per-bit selector M is a one-bit conversion
+    assert transform("1", "01") == BitSequence("0")
+    assert transform("0", "10") == BitSequence("1")
+    assert transform("0", "0") == BitSequence("0")
 
 
 def test_m_select_errors():
     with pytest.raises(ValueError):
-        m_select(2, 0, "011")
+        m_select_definitional(2, 0, "011")
     with pytest.raises(ValueError):
-        m_select(2, 2, "01")
+        m_select_definitional(2, 2, "01")
+    with pytest.raises(ValueError):
+        transform([2], "01")
 
 
 def test_selector_definitional_equivalence_exhaustive():
@@ -50,7 +53,7 @@ def test_selector_definitional_equivalence_exhaustive():
             for u in range(1 << k):
                 ctx = int_to_context(u, k)
                 for x in (0, 1):
-                    assert m_select(k, x, ctx, variant) == \
+                    assert transform([x], ctx, variant)[0] == \
                         m_select_definitional(k, x, ctx, variant)
 
 
