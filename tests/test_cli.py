@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 from twofaced.bitseq import decode_stream
@@ -223,6 +224,34 @@ def test_bar_variant_golden_digests():
         assert code == 0 and err == "", (name, err)
         got[name] = hashlib.sha256(out).hexdigest()
     assert got == _BAR_DIGESTS
+
+
+# sha256 of `analyze` stdout, text and --csv, computed before the block
+# statistics were counted from one histogram.
+_ANALYZE_DIGESTS = {
+    ("gen", "text"): "2a1889c1e1ddf1cd9fe4a7a3bd1ca3d40afebf585a508eb5dc30ff6c087be89b",
+    ("gen", "csv"): "71699b986dcca7bae0650e4b110313625ffca89d34479f4a2e136f3e70a1396e",
+    ("expand", "text"): "e11c62416b103740437b1cb958c082eedcb9d749f92a23e92308ffd03bb44f0b",
+    ("expand", "csv"): "68978bd7fb9682a42f1e81a7647ce9e6714f1b71e5a88c1cf8e9237e7a61b426",
+}
+
+
+def test_analyze_golden_digests():
+    _, gen, _ = invoke(["gen", "--order", "8", "--pi", "0.2", "--length", "100000",
+                        "--seed", "9"])
+    seed_hex = next_bits(CounterBitSource(21), 128).to_hex()
+    _, expanded, _ = invoke(["expand", "--seed-hex", seed_hex, "--order", "16",
+                             "--length", "50000"])
+    got = {}
+    for name, stream, max_block in (("gen", gen, "12"), ("expand", expanded, "16")):
+        for form, extra in (("text", []), ("csv", ["--csv"])):
+            with warnings.catch_warnings():  # expected counts < 5 from m = 14
+                warnings.simplefilter("ignore")
+                code, out, err = invoke(["analyze", "--max-block", max_block] + extra,
+                                        stream)
+            assert code == 0 and err == "", (name, form, err)
+            got[name, form] = hashlib.sha256(out).hexdigest()
+    assert got == _ANALYZE_DIGESTS
 
 
 def test_unknown_flag_exits_2():
