@@ -139,8 +139,8 @@ def default_config(pi: float, seed: int, n: int) -> TwiceTwoFacedConfig:
 
 def parse_config(text: str) -> TwiceTwoFacedConfig:
     """Parse the text config format: lines ``cut <n>`` and
-    ``component order=<k> pi=<float> seed=<u64>``; blank lines and
-    ``#`` comments are ignored."""
+    ``component order=<k> pi=<float> seed=<u64> [variant=plain|bar]``;
+    blank lines and ``#`` comments are ignored."""
     cuts: list[int] = []
     components: list[ComponentSpec] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -154,10 +154,14 @@ def parse_config(text: str) -> TwiceTwoFacedConfig:
                 continue
             if fields[0] == "component":
                 kv = dict(f.split("=", 1) for f in fields[1:])
+                variant = kv.pop("variant", "plain")
                 if set(kv) != {"order", "pi", "seed"}:
                     raise ValueError(f"expected order=, pi=, seed=, got {sorted(kv)}")
+                if variant not in ("plain", "bar"):
+                    raise ValueError(f"variant must be plain or bar, got {variant!r}")
                 components.append(ComponentSpec(
-                    order=int(kv["order"]), pi=float(kv["pi"]), seed=int(kv["seed"])))
+                    order=int(kv["order"]), pi=float(kv["pi"]), seed=int(kv["seed"]),
+                    variant=Variant(variant)))
                 continue
             raise ValueError(f"unrecognized directive {fields[0]!r}")
         except (ValueError, KeyError) as exc:
@@ -174,6 +178,7 @@ def parse_config(text: str) -> TwiceTwoFacedConfig:
 def render_config(config: TwiceTwoFacedConfig) -> str:
     lines = [f"cut {c}" for c in config.cuts.cuts]
     lines += [f"component order={c.order} pi={c.pi!r} seed={c.seed}"
+              + (" variant=bar" if c.variant is Variant.BAR else "")
               for c in config.components]
     return "\n".join(lines) + "\n"
 

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from twofaced.bitseq import BitSequence
 from twofaced.combine import (ComponentSpec, CutSequence,
                               component_stream, default_config, load_config,
-                              parse_config, render_config, twice_two_faced,
+                              TwiceTwoFacedConfig, parse_config, render_config,
+                              twice_two_faced,
                               twice_two_faced_from_config, whiten, xor_streams)
 from twofaced.errors import ConfigurationError
 from twofaced.generator import (StateDistribution, exact_block_distribution,
@@ -134,6 +135,18 @@ component order=8 pi=0.2 seed=13
     assert again == config
 
 
+def test_config_round_trip_keeps_bar_variant():
+    plain = ComponentSpec(order=2, pi=0.2, seed=11)
+    bar = ComponentSpec(order=4, pi=0.3, seed=12, variant=Variant.BAR)
+    config = TwiceTwoFacedConfig(CutSequence((2,)), (plain, bar))
+    text = render_config(config)
+    assert text.splitlines()[1:] == ["component order=2 pi=0.2 seed=11",
+                                     "component order=4 pi=0.3 seed=12 variant=bar"]
+    assert parse_config(text) == config
+    explicit = parse_config("component order=2 pi=0.2 seed=11 variant=plain")
+    assert explicit.components == (plain,)
+
+
 def test_config_errors():
     with pytest.raises(ConfigurationError):
         parse_config("component order=2 pi=0.2")  # missing seed
@@ -145,6 +158,9 @@ def test_config_errors():
         parse_config("frob 1\ncomponent order=2 pi=0.2 seed=1")
     with pytest.raises(ConfigurationError):
         parse_config("cut 4\ncut 2\ncomponent order=2 pi=0.2 seed=1")
+    for bad in ("BAR", "flipped", ""):
+        with pytest.raises(ConfigurationError, match="variant"):
+            parse_config(f"component order=2 pi=0.2 seed=1 variant={bad}")
 
 
 def test_load_config(tmp_path):
