@@ -10,6 +10,8 @@ here restates a definition the production code implements another way:
 * `generate_by_conversion` samples a kernel by thresholding the draws
   into a biased stream and converting it; it agrees with
   `generator.generate` in law, not bit for bit.
+* `window_counts` rebuilds the m-windows from the bits for each block
+  length, where `stats` folds every length down from one histogram.
 * `ReplayRealSource` replays canned uniform draws.
 """
 from __future__ import annotations
@@ -18,11 +20,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bitseq import BitSequence
+from .bitseq import BitSequence, as_bit_array
 from .errors import SourceExhaustedError
 from .generator import GeneratorState
 from .kernels import KernelSpec, Variant, _check_bit, as_context
 from .transform import TransformState, transform_chunk
+
+
+def flipped(variant: Variant) -> Variant:
+    """The other family: a leading 1 in the context swaps PLAIN and BAR."""
+    return Variant.BAR if variant is Variant.PLAIN else Variant.PLAIN
 
 
 @lru_cache(maxsize=None)
@@ -31,7 +38,7 @@ def _pi_branch_recursive(variant: Variant, next_bit: int, context: tuple) -> boo
         same = next_bit == context[0]
         return same if variant is Variant.PLAIN else not same
     head, rest = context[0], context[1:]
-    return _pi_branch_recursive(variant if head == 0 else variant.flipped(),
+    return _pi_branch_recursive(variant if head == 0 else flipped(variant),
                                 next_bit, rest)
 
 
@@ -76,6 +83,18 @@ def generate_by_conversion(state: GeneratorState, n: int, reals) -> BitSequence:
     state.context = window.context
     state.steps_emitted += n
     return y
+
+
+def window_counts(seq, m: int) -> np.ndarray:
+    """Occurrences of every m-word as an overlapping window, index = word
+    read oldest bit high; the m-windows are rebuilt from the bits."""
+    bits = as_bit_array(seq)
+    count = bits.size - m + 1
+    w = np.zeros(count, dtype=np.int64)
+    for j in range(m):
+        w <<= 1
+        w |= bits[j:j + count]
+    return np.bincount(w, minlength=1 << m)
 
 
 class ReplayRealSource:

@@ -36,9 +36,6 @@ class Variant(enum.Enum):
     PLAIN = "plain"
     BAR = "bar"
 
-    def flipped(self) -> "Variant":
-        return Variant.BAR if self is Variant.PLAIN else Variant.PLAIN
-
 
 @dataclass(frozen=True)
 class KernelSpec:

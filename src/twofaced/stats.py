@@ -6,6 +6,11 @@ count (the exact normalizer for the available windows).  A truly random
 stream has every m-word frequency near 2^-m; the chi-square statistic
 against that uniform expectation, with 2^m - 1 degrees of freedom,
 quantifies the deviation.
+
+Every block length up to M comes from one histogram of the M-windows.
+Each smaller one is folded from the one above it: summing the pairs of
+cells that differ only in the newest bit counts every m-window but the
+last, which is the stream's final m bits.
 """
 from __future__ import annotations
 
@@ -22,17 +27,38 @@ BLOCK_LEN_CAP = 24
 
 
 def _window_values(bits: np.ndarray, m: int) -> np.ndarray:
-    """Integer value of every overlapping m-bit window, oldest bit high."""
+    """Integer value of every overlapping m-bit window, oldest bit high,
+    in the narrowest of uint16, uint32 and int64 that holds m bits."""
     count = bits.size - m + 1
-    w = np.zeros(count, dtype=np.int64)
+    dtype = np.uint16 if m <= 16 else np.uint32 if m <= 32 else np.int64
+    w = np.zeros(count, dtype=dtype)
     for j in range(m):
         w <<= 1
         w |= bits[j:j + count]
     return w
 
 
-def _window_counts(bits: np.ndarray, m: int) -> np.ndarray:
-    return np.bincount(_window_values(bits, m), minlength=1 << m)
+def _check_block_len(what: str, m: int, n: int) -> None:
+    if m < 1:
+        raise ValueError(f"{what} must be positive")
+    if m > BLOCK_LEN_CAP:
+        raise CapacityError(f"{what} {m} exceeds table cap {BLOCK_LEN_CAP}")
+    if m > n:
+        raise ValueError(f"{what} {m} exceeds sequence length {n}")
+
+
+def _block_counts(bits: np.ndarray, lo: int, hi: int) -> list[np.ndarray]:
+    """Counts of every m-word over the overlapping windows, m = lo..hi,
+    folded down from the one histogram of hi-windows (module docstring)."""
+    w = _window_values(bits, hi)
+    tail = int(w[-1])  # its low m bits are the last m-window
+    h = np.bincount(w, minlength=1 << hi)
+    out = [h]
+    for m in range(hi - 1, lo - 1, -1):
+        h = h.reshape(-1, 2).sum(axis=1)
+        h[tail & ((1 << m) - 1)] += 1
+        out.append(h)
+    return out[::-1]
 
 
 def occurrence_count(seq, u) -> int:
@@ -82,25 +108,7 @@ class BlockStats:
 
 def block_frequencies(seq, m: int) -> BlockStats:
     """Count all overlapping m-windows and summarize deviation from 2^-m."""
-    bits = as_bit_array(seq)
-    if m < 1:
-        raise ValueError("block length must be positive")
-    if m > BLOCK_LEN_CAP:
-        raise CapacityError(f"block length {m} exceeds table cap {BLOCK_LEN_CAP}")
-    if m > bits.size:
-        raise ValueError(f"block length {m} exceeds sequence length {bits.size}")
-    counts = _window_counts(bits, m)
-    windows = bits.size - m + 1
-    expected = windows / (1 << m)
-    if expected < 5.0:
-        warnings.warn(
-            f"expected count per cell is {expected:.2f} (< 5); "
-            "the chi-square approximation is unreliable", stacklevel=2)
-    freq = counts / windows
-    max_dev = float(np.abs(freq - 2.0 ** -m).max())
-    chi2 = float(((counts - expected) ** 2 / expected).sum())
-    counts.setflags(write=False)
-    return BlockStats(m, counts, windows, max_dev, chi2, (1 << m) - 1)
+    return _analyze(as_bit_array(seq), m, m)[0]
 
 
 def empirical_conditional_entropy(seq, m: int) -> float:
@@ -111,13 +119,8 @@ def empirical_conditional_entropy(seq, m: int) -> float:
     (a warning reports how many were missing).
     """
     bits = as_bit_array(seq)
-    if m < 1:
-        raise ValueError("entropy order must be positive")
-    if m > BLOCK_LEN_CAP:
-        raise CapacityError(f"entropy order {m} exceeds table cap {BLOCK_LEN_CAP}")
-    if m > bits.size:
-        raise ValueError(f"entropy order {m} exceeds sequence length {bits.size}")
-    counts = _window_counts(bits, m).astype(np.float64)
+    _check_block_len("entropy order", m, bits.size)
+    counts = _block_counts(bits, m, m)[0].astype(np.float64)
     ctx = counts.reshape(-1, 2).sum(axis=1)
     missing = int(np.count_nonzero(ctx == 0))
     if missing:
@@ -218,7 +221,28 @@ def analyze(seq, max_block: int, min_block: int = 1) -> list[BlockStats]:
     """Block statistics for every length in [min_block, max_block]."""
     if min_block < 1 or max_block < min_block:
         raise ValueError("block range must satisfy 1 <= min <= max")
-    return [block_frequencies(seq, m) for m in range(min_block, max_block + 1)]
+    return _analyze(as_bit_array(seq), min_block, max_block)
+
+
+def _analyze(bits: np.ndarray, min_block: int, max_block: int) -> list[BlockStats]:
+    # Every length is checked, in ascending order, before any counting.
+    for m in range(min_block, max_block + 1):
+        _check_block_len("block length", m, bits.size)
+        expected = (bits.size - m + 1) / (1 << m)
+        if expected < 5.0:
+            warnings.warn(
+                f"expected count per cell is {expected:.2f} (< 5); "
+                "the chi-square approximation is unreliable", stacklevel=3)
+    results = []
+    for m, counts in zip(range(min_block, max_block + 1),
+                         _block_counts(bits, min_block, max_block)):
+        windows = bits.size - m + 1
+        expected = windows / (1 << m)
+        max_dev = float(np.abs(counts / windows - 2.0 ** -m).max())
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        counts.setflags(write=False)
+        results.append(BlockStats(m, counts, windows, max_dev, chi2, (1 << m) - 1))
+    return results
 
 
 def report_text(stats: list[BlockStats], alpha: float = 1e-4) -> str:

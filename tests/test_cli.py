@@ -254,6 +254,19 @@ def test_analyze_golden_digests():
     assert got == _ANALYZE_DIGESTS
 
 
+def test_analyze_bad_block_length_is_one_line_runtime_error():
+    stream = b"0110" * 5
+    for argv, message in (
+            (["--max-block", "25"], "block length 21 exceeds sequence length 20"),
+            (["--max-block", "25", "--min-block", "25"],
+             "block length 25 exceeds table cap 24")):
+        with warnings.catch_warnings():  # low expected counts below the bad length
+            warnings.simplefilter("ignore")
+            code, out, err = invoke(["analyze"] + argv, stream)
+        assert code == 1 and out == b""
+        assert err == f"twofaced analyze: {message}\n"
+
+
 def test_unknown_flag_exits_2():
     code, _, _ = invoke(["gen", "--order", "2", "--pi", "0.5", "--length", "4",
                          "--seed", "1", "--frobnicate"])

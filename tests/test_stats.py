@@ -3,9 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twofaced._reference import window_counts
 from twofaced.bitseq import BitSequence
 from twofaced.errors import CapacityError
 from twofaced.generator import generate, init_uniform
@@ -302,3 +303,112 @@ def test_analyze_range_validation():
         analyze(BitSequence.zeros(10), 0)
     with pytest.raises(ValueError):
         analyze(BitSequence.zeros(10), 2, 3)
+
+
+# ---- the one-histogram fold against the per-length counter ----
+
+def _assert_matches_oracle(stats, bits, m):
+    counts = window_counts(bits, m)
+    windows = len(bits) - m + 1
+    expected = windows / (1 << m)
+    assert stats.block_len == m and stats.df == (1 << m) - 1
+    assert stats.windows == windows
+    assert stats.counts.dtype == np.int64 and not stats.counts.flags.writeable
+    assert np.array_equal(stats.counts, counts)
+    assert stats.max_abs_deviation == float(np.abs(counts / windows - 2.0 ** -m).max())
+    assert stats.chi_square == float(((counts - expected) ** 2 / expected).sum())
+
+
+def _entropy_from_counts(counts, windows):
+    # H = -sum over m-words u of c(u) log2(c(u) / c(context of u)) / windows
+    total = 0.0
+    for u, c in enumerate(counts.tolist()):
+        if c:
+            total -= c * math.log2(c / (counts[u & ~1] + counts[u | 1]))
+    return total / windows
+
+
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=300), st.data())
+@example([1], None)
+@example([0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 0, 0, 1, 0, 1], None)
+@settings(max_examples=80, deadline=None)
+def test_analyze_matches_per_length_counter(bits, data):
+    n = len(bits)
+    if data is None:  # one window: max_block == length
+        hi, lo = n, 1
+    else:
+        hi = data.draw(st.integers(1, min(n, 18)), label="max_block")
+        lo = data.draw(st.integers(1, hi), label="min_block")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        results = analyze(bits, hi, lo)
+        assert [s.block_len for s in results] == list(range(lo, hi + 1))
+        for s in results:
+            _assert_matches_oracle(s, bits, s.block_len)
+        m = hi if data is None else data.draw(st.integers(lo, hi), label="m")
+        single = block_frequencies(bits, m)
+        _assert_matches_oracle(single, bits, m)
+        entropy = empirical_conditional_entropy(bits, m)
+    want = _entropy_from_counts(window_counts(bits, m), n - m + 1)
+    assert entropy == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_analyze_matches_per_length_counter_at_block_len_cap():
+    # The top of the range: fold from 2^24 cells, one window and many.
+    for n in (BLOCK_LEN_CAP, 300):
+        bits = next_bits(CounterBitSource(n), n).array
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            results = analyze(bits, BLOCK_LEN_CAP, BLOCK_LEN_CAP - 2)
+        for s in results:
+            _assert_matches_oracle(s, bits, s.block_len)
+        del results
+
+
+def test_analyze_matches_per_length_counter_on_long_stream():
+    # m = 17 is the first length whose windows do not fit in 16 bits
+    bits = next_bits(CounterBitSource(17), 400_009).array
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        results = analyze(bits, 17)
+    for s in results:
+        _assert_matches_oracle(s, bits, s.block_len)
+
+
+def _warning_texts(caught):
+    return [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
+
+
+def _low_count_texts(n, ms):
+    return [f"expected count per cell is {(n - m + 1) / (1 << m):.2f} (< 5); "
+            "the chi-square approximation is unreliable" for m in ms]
+
+
+@pytest.mark.parametrize("n, max_block, min_block, error, message", [
+    (100, 25, 1, CapacityError, "block length 25 exceeds table cap 24"),
+    (4, 6, 1, ValueError, "block length 5 exceeds sequence length 4"),
+    (10, 25, 3, ValueError, "block length 11 exceeds sequence length 10"),
+    (10, 30, 26, CapacityError, "block length 26 exceeds table cap 24"),
+    (30, 26, 25, CapacityError, "block length 25 exceeds table cap 24"),
+])
+def test_analyze_fails_at_first_bad_length(n, max_block, min_block, error, message):
+    # The first failing length in ascending order is named, after the
+    # low-count warning of every length below it, once each, in order.
+    bits = next_bits(CounterBitSource(3), n)
+    first_bad = int(message.split()[2])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(error) as info:
+            analyze(bits, max_block, min_block)
+    assert type(info.value) is error and str(info.value) == message
+    below = [m for m in range(min_block, first_bad) if (n - m + 1) / (1 << m) < 5.0]
+    assert _warning_texts(caught) == _low_count_texts(n, below)
+
+
+def test_analyze_low_count_warning_once_per_length_ascending():
+    bits = next_bits(CounterBitSource(8), 200)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        analyze(bits, 12, 2)
+    # expected count (201 - m) / 2^m drops below 5 from m = 6
+    assert _warning_texts(caught) == _low_count_texts(200, range(6, 13))
