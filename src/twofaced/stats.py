@@ -49,10 +49,15 @@ def _check_block_len(what: str, m: int, n: int) -> None:
 
 def _block_counts(bits: np.ndarray, lo: int, hi: int) -> list[np.ndarray]:
     """Counts of every m-word over the overlapping windows, m = lo..hi,
-    folded down from the one histogram of hi-windows (module docstring)."""
-    w = _window_values(bits, hi)
-    tail = int(w[-1])  # its low m bits are the last m-window
-    h = np.bincount(w, minlength=1 << hi)
+    folded down from the one histogram of hi-windows (module docstring).
+    The hi-windows are built a chunk at a time, so their memory is bounded
+    by the table size rather than the stream length."""
+    step = 1 << max(16, hi)  # windows per chunk
+    h = np.zeros(1 << hi, dtype=np.int64)
+    for start in range(0, bits.size - hi + 1, step):
+        h += np.bincount(_window_values(bits[start:start + step + hi - 1], hi),
+                         minlength=1 << hi)
+    tail = int(_window_values(bits[bits.size - hi:], hi)[0])  # low m bits: last m-window
     out = [h]
     for m in range(hi - 1, lo - 1, -1):
         h = h.reshape(-1, 2).sum(axis=1)
