@@ -157,8 +157,6 @@ def parse_config(text: str) -> TwiceTwoFacedConfig:
                 variant = kv.pop("variant", "plain")
                 if set(kv) != {"order", "pi", "seed"}:
                     raise ValueError(f"expected order=, pi=, seed=, got {sorted(kv)}")
-                if variant not in ("plain", "bar"):
-                    raise ValueError(f"variant must be plain or bar, got {variant!r}")
                 components.append(ComponentSpec(
                     order=int(kv["order"]), pi=float(kv["pi"]), seed=int(kv["seed"]),
                     variant=Variant(variant)))

@@ -159,7 +159,7 @@ def test_config_errors():
     with pytest.raises(ConfigurationError):
         parse_config("cut 4\ncut 2\ncomponent order=2 pi=0.2 seed=1")
     for bad in ("BAR", "flipped", ""):
-        with pytest.raises(ConfigurationError, match="variant"):
+        with pytest.raises(ConfigurationError, match="not a valid Variant"):
             parse_config(f"component order=2 pi=0.2 seed=1 variant={bad}")
 
 

@@ -366,7 +366,7 @@ def test_analyze_matches_per_length_counter_at_block_len_cap():
 
 
 def test_analyze_matches_per_length_counter_on_long_stream():
-    # m = 17 is the first length whose windows do not fit in 16 bits
+    # m = 17 needs 32-bit windows; 400,009 bits span four 2^17-window chunks
     bits = next_bits(CounterBitSource(17), 400_009).array
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
