@@ -4,10 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from twofaced.bitseq import BitSequence
-from twofaced.combine import (ComponentSpec, CutSequence,
+from twofaced.combine import (ComponentSpec, CutSequence, TwiceTwoFacedConfig,
                               component_stream, default_config, load_config,
-                              TwiceTwoFacedConfig, parse_config, render_config,
-                              twice_two_faced,
+                              parse_config, render_config, twice_two_faced,
                               twice_two_faced_from_config, whiten, xor_streams)
 from twofaced.errors import ConfigurationError
 from twofaced.generator import (StateDistribution, exact_block_distribution,
@@ -145,6 +144,9 @@ def test_config_round_trip_keeps_bar_variant():
     assert parse_config(text) == config
     explicit = parse_config("component order=2 pi=0.2 seed=11 variant=plain")
     assert explicit.components == (plain,)
+    for bad in ("BAR", "flipped", ""):
+        with pytest.raises(ConfigurationError, match="not a valid Variant"):
+            parse_config(f"component order=2 pi=0.2 seed=1 variant={bad}")
 
 
 def test_config_errors():
@@ -158,9 +160,6 @@ def test_config_errors():
         parse_config("frob 1\ncomponent order=2 pi=0.2 seed=1")
     with pytest.raises(ConfigurationError):
         parse_config("cut 4\ncut 2\ncomponent order=2 pi=0.2 seed=1")
-    for bad in ("BAR", "flipped", ""):
-        with pytest.raises(ConfigurationError, match="not a valid Variant"):
-            parse_config(f"component order=2 pi=0.2 seed=1 variant={bad}")
 
 
 def test_load_config(tmp_path):
