@@ -308,6 +308,62 @@ def test_decode_golden_digests(pi):
         assert h.hexdigest() == want, precision
 
 
+# sha256 over bernoulli_encode(x, pi, precision) in ascii01, one line per
+# input, for input lengths n in (0, 1, 64, 5000) and two inputs each: iid
+# bits with P(0) = pi (draws from UniformRealSource.from_seed(n)) and fair
+# bits (CounterBitSource(n)); one digest per (pi, precision) for precision
+# in (16, 24, 62); computed with the three-method encoder that the single
+# function replaced.
+_GOLDEN_ENCODE = {
+    1e-9: (
+        "5655ac2d802f14befb6a114f133c6359fb5224bb1a1652d8e352eaaf20d92d23",
+        "9bff0776062c945f3104930ad80f48102004402a960caf8152e778ed14a82233",
+        "f8ef299f02fd681028ac00d22a3151fc8c9b4e855bdf461200c20bab561f03e6",
+    ),
+    1.2645584646472377e-05: (
+        "5655ac2d802f14befb6a114f133c6359fb5224bb1a1652d8e352eaaf20d92d23",
+        "4e6ec39678f5bbe7703233ab370a3d537e3b7259cd7d04e9721d30f54c7871fe",
+        "174002c7fa3c44487869c819a171e15a6e09c4685e8933f54ea16741aaaa6843",
+    ),
+    0.01: (
+        "5560c198dff152c2965a95e9c59d38412b2655f0310ea911a42f9e476589487b",
+        "aedeb183e56ef69efb13d74236a6b8efb11138e7f8baca59411307e8833536c3",
+        "3ac061b819f6db3771727f946b3a22820992de5ac05a30fc92089f87b6b1c8a9",
+    ),
+    0.2: (
+        "578f321f975fd8b42d42f54bfe4e42bd17b2ce473aac233d009ef71d429419a0",
+        "5efcb646a5cba41808e07311d7f1fad713fbd7a052db46a4e505a348a56fa7b9",
+        "625bc5790da1ce6003438e2472c6ee90938ad9f5b0f559cbb497d04b14e8a790",
+    ),
+    0.5: (
+        "225f67a229891e06df30da9618d4a092f2e41cf383d3da1d3350f75e05bd48d5",
+        "225f67a229891e06df30da9618d4a092f2e41cf383d3da1d3350f75e05bd48d5",
+        "225f67a229891e06df30da9618d4a092f2e41cf383d3da1d3350f75e05bd48d5",
+    ),
+    0.77: (
+        "fdcbfbc729c6289c09fed4accb5a0e85263b115d9b07507f0bfec5a7f62ff9a3",
+        "88d47ca139dd09c0d821faf714b0e3b55da7d072e691e0f3a33bca321b4a6ceb",
+        "1fac34b798b838c87cd5994ddd56e90be161e286316d9e01f7d869ed3aa07eb8",
+    ),
+    0.99: (
+        "17c7f86414f72e324670dcf5c6329ee898da9c5cfb24b3accd17786f4a560797",
+        "15059c8d5fe1d88b4ef554c111927faf389bd99b03ffe4aadf6efc3ddf24a8fd",
+        "3e55d80c106fb9932340171bb16e1961ed28ae5a4badd36f60e0276112c3ca04",
+    ),
+}
+
+
+@pytest.mark.parametrize("pi", sorted(_GOLDEN_ENCODE))
+def test_encode_golden_digests(pi):
+    for precision, want in zip((16, 24, 62), _GOLDEN_ENCODE[pi]):
+        h = hashlib.sha256()
+        for n in (0, 1, 64, 5000):
+            for x in (_bernoulli(pi, n, n), next_bits(CounterBitSource(n), n)):
+                code = bernoulli_encode(x, pi, precision)
+                h.update(code.to_ascii01().encode() + b"\n")
+        assert h.hexdigest() == want, precision
+
+
 def test_expand_golden_digest_at_benchmark_shape():
     # 128-bit seed, order 16: 112 code bits decoded at pi ~ 1.26e-5
     seed = next_bits(CounterBitSource(5), 128)

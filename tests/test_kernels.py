@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -132,6 +134,25 @@ def test_kernel_table_cap():
     with pytest.raises(CapacityError):
         kernel_table(KernelSpec(Variant.PLAIN, 21, 0.3))
     kernel_table(KernelSpec(Variant.PLAIN, 21, 0.3), cap=21)
+
+
+# sha256 over the p0 then p1 bytes of kernel_table(KernelSpec(variant, k,
+# 0.3)) for k = 1, ..., 20; computed with the five-step XOR fold that the
+# doubling from pi_letter replaced.
+_GOLDEN_TABLES = {
+    Variant.PLAIN: "852805ea77fda9c10674e6cea176eae9264f17f7b86926e6f9a7fb8c4aa0bb87",
+    Variant.BAR: "9e155cac0f0fb14d5c3949973a05b5e1c932a79bab8b0c2341f003e0c577019d",
+}
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_kernel_table_golden_digests(variant):
+    h = hashlib.sha256()
+    for order in range(1, 21):
+        table = kernel_table(KernelSpec(variant, order, 0.3))
+        h.update(table.p0.tobytes())
+        h.update(table.p1.tobytes())
+    assert h.hexdigest() == _GOLDEN_TABLES[variant]
 
 
 def test_kernel_table_csv_round_trip():
