@@ -38,8 +38,6 @@ StreamFactory = Callable[[int], BitSequence]
 
 def xor_streams(a: BitSequence, b: BitSequence) -> BitSequence:
     """Bitwise XOR of two equal-length streams."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     return a ^ b
 
 
@@ -73,6 +71,9 @@ class ComponentSpec:
     pi: float
     seed: int
     variant: Variant = Variant.PLAIN
+
+    def __post_init__(self):
+        self.kernel()  # rejects a bad order or pi here, not when first built
 
     def kernel(self) -> KernelSpec:
         return KernelSpec(self.variant, self.order, self.pi)
@@ -154,6 +155,8 @@ def parse_config(text: str) -> TwiceTwoFacedConfig:
                 continue
             if fields[0] == "component":
                 kv = dict(f.split("=", 1) for f in fields[1:])
+                if len(kv) < len(fields) - 1:
+                    raise ValueError(f"repeated key in {' '.join(fields[1:])!r}")
                 variant = kv.pop("variant", "plain")
                 if set(kv) != {"order", "pi", "seed"}:
                     raise ValueError(f"expected order=, pi=, seed=, got {sorted(kv)}")

@@ -10,13 +10,13 @@ map is deterministic in (seed, config).
 
 The coder is an integer range coder in the classic reference style
 (Witten, Neal & Cleary 1987): `precision`-bit low/high registers, carry
-handling via pending inverted bits, termination by a single 1 bit.  The
-encoder steps symbol by symbol; the decoder steps through runs of the
-more probable symbol, renormalising only where a run ends, with output
-bit-identical to a per-symbol decoder.  A decoder that runs past the
-end of the code word reads zeros (decoding is total; the induced tail
-bias is a documented artifact of finite seeds).  The exact bit behavior
-is pinned by golden vectors in the test suite.
+handling via pending inverted bits, termination by a single 1 bit.
+Encoder and decoder are one function each: a 1 raises `low`, a 0 lowers
+`high`.  The encoder steps symbol by symbol, the decoder through runs of
+the more probable symbol, renormalising only at run ends, bit-identical
+to a per-symbol decoder; past the end of the code word it reads zeros
+(decoding is total; the induced tail bias is a documented artifact of
+finite seeds).  Golden vectors in the test suite pin the exact bits.
 """
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ from .transform import transform
 
 PI_FLOOR = 1e-9
 DEFAULT_PRECISION = 62
+ENTROPY_TOL = 1e-12  # |H(pi) - h| at which entropy_inverse stops
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class ExpanderConfig:
             raise ValueError("precision must lie in [16, 62]")
 
 
-def entropy_inverse(h: float, tol: float = 1e-12) -> float:
+def entropy_inverse(h: float) -> float:
     """The pi in (0, 1/2] with binary entropy h, found by bisection.
 
     H is strictly increasing on (0, 1/2], so bisection converges; the
@@ -75,7 +76,7 @@ def entropy_inverse(h: float, tol: float = 1e-12) -> float:
         if mid <= lo or mid >= hi:
             break
         err = limit_entropy(mid) - h
-        if abs(err) <= tol:
+        if abs(err) <= ENTROPY_TOL:
             return mid
         if err < 0.0:
             lo = mid
@@ -92,56 +93,41 @@ def _freq_split(pi: float, precision: int) -> tuple[int, int]:
     return f0, total
 
 
-class _Encoder:
-    def __init__(self, precision: int):
-        self.precision = precision
-        self.mask = (1 << precision) - 1
-        self.top = 1 << (precision - 1)
-        self.second = self.top >> 1
-        self.low = 0
-        self.high = self.mask
-        self.out: list[int] = []
-        self.pending = 0
-
-    def _emit(self, bit: int) -> None:
-        self.out.append(bit)
-        if self.pending:
-            self.out.extend([bit ^ 1] * self.pending)
-            self.pending = 0
-
-    def encode(self, cum_lo: int, cum_hi: int, total: int) -> None:
-        span = self.high - self.low + 1
-        self.high = self.low + (span * cum_hi) // total - 1
-        self.low = self.low + (span * cum_lo) // total
-        while ((self.low ^ self.high) & self.top) == 0:
-            self._emit(self.low >> (self.precision - 1))
-            self.low = (self.low << 1) & self.mask
-            self.high = ((self.high << 1) & self.mask) | 1
-        while (self.low & ~self.high & self.second) != 0:
-            self.pending += 1
-            self.low = (self.low << 1) & (self.mask >> 1)
-            self.high = ((self.high << 1) & (self.mask >> 1)) | self.top | 1
-
-    def finish(self) -> None:
-        # The interval always straddles the midpoint here, so the point
-        # "1 followed by zeros" lies inside it.
-        self.out.append(1)
-
-
 def bernoulli_encode(x, pi: float, precision: int = DEFAULT_PRECISION) -> BitSequence:
     """Arithmetic-code a bit stream under the iid model P(0) = pi."""
     if not 0.0 < pi < 1.0:
         raise ValueError(f"pi must lie strictly inside (0, 1), got {pi!r}")
-    bits = as_bit_array(x)
     f0, total = _freq_split(pi, precision)
-    enc = _Encoder(precision)
-    for b in bits.tolist():
-        if b == 0:
-            enc.encode(0, f0, total)
+    sh = total.bit_length() - 1  # total is a power of two
+    mask = (1 << precision) - 1
+    half_mask = mask >> 1
+    top = 1 << (precision - 1)
+    second = top >> 1
+    low, high = 0, mask
+    pending = 0  # straddle shifts whose bits follow the next emitted bit, inverted
+    out = bytearray()
+    for b in as_bit_array(x).tolist():
+        split = ((high - low + 1) * f0) >> sh
+        if b:
+            low += split
         else:
-            enc.encode(f0, total, total)
-    enc.finish()
-    return BitSequence(enc.out)
+            high = low + split - 1
+        while ((low ^ high) & top) == 0:
+            bit = low >> (precision - 1)
+            out.append(bit)
+            if pending:
+                out.extend([bit ^ 1] * pending)
+                pending = 0
+            low = (low << 1) & mask
+            high = ((high << 1) & mask) | 1
+        while low & ~high & second:
+            pending += 1
+            low = (low << 1) & half_mask
+            high = ((high << 1) & half_mask) | top | 1
+    # The interval always straddles the midpoint here, so the point
+    # "1 followed by zeros" lies inside it.
+    out.append(1)
+    return BitSequence._wrap(np.frombuffer(out, dtype=np.uint8))
 
 
 def bernoulli_decode(code, pi: float, n: int,

@@ -88,6 +88,11 @@ def generate(state: GeneratorState, n: int, reals) -> BitSequence:
     return BitSequence._wrap(np.frombuffer(out, dtype=np.uint8))
 
 
+def _check_order_cap(order: int) -> None:
+    if order > TABLE_ORDER_CAP:
+        raise CapacityError(f"order {order} exceeds exact-computation cap {TABLE_ORDER_CAP}")
+
+
 @dataclass(frozen=True)
 class StateDistribution:
     """A probability vector over the 2^order context words.
@@ -112,21 +117,18 @@ class StateDistribution:
 
     @classmethod
     def uniform(cls, order: int) -> "StateDistribution":
+        _check_order_cap(order)
         return cls(order, np.full(1 << order, 2.0 ** -order))
 
     @classmethod
     def point_mass(cls, order: int, word) -> "StateDistribution":
+        _check_order_cap(order)
         bits = as_bit_array(word)
         if bits.size != order:
             raise ValueError(f"word length {bits.size} does not match order {order}")
         p = np.zeros(1 << order)
         p[context_to_int(bits)] = 1.0
         return cls(order, p)
-
-
-def _check_order_cap(order: int) -> None:
-    if order > TABLE_ORDER_CAP:
-        raise CapacityError(f"order {order} exceeds exact-computation cap {TABLE_ORDER_CAP}")
 
 
 def _propagate_array(p: np.ndarray, p0: np.ndarray, p1: np.ndarray,
@@ -148,7 +150,6 @@ def propagate(kernel: KernelSpec, dist: StateDistribution,
         raise ValueError("distribution order does not match kernel order")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    _check_order_cap(kernel.order)
     table = kernel_table(kernel)
     return StateDistribution(
         kernel.order, _propagate_array(dist.probs, table.p0, table.p1, steps))
@@ -171,7 +172,6 @@ def exact_block_distribution(kernel: KernelSpec, initial: StateDistribution,
         raise ValueError("offset must be nonnegative")
     if m < 1:
         raise ValueError("block length must be positive")
-    _check_order_cap(k)
     if m > k + EXTENSION_CAP:
         raise CapacityError(
             f"block length {m} exceeds extension cap order+{EXTENSION_CAP}")

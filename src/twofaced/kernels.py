@@ -13,8 +13,10 @@ tables and the stream conversion all take the pi-letter from it.
 
 The inductive definition doubles the context one (oldest) bit at a time:
 a leading 0 keeps the family, a leading 1 swaps PLAIN and BAR, down to
-the order-1 base cases.  ``twofaced._reference.cond_prob_recursive``
-implements that recursion literally; ``cond_prob`` implements the parity
+the order-1 base cases.  ``kernel_table`` builds its pi-letters by that
+doubling from ``pi_letter(variant, 0)``: the rows with a leading 1 flip
+the rows of the order below.  ``twofaced._reference.cond_prob_recursive``
+implements the recursion literally; ``cond_prob`` implements the parity
 closed form.  Both resolve to the two-valued symbol {pi, 1 - pi} before
 converting to float, so they agree exactly, with no tolerance.
 """
@@ -108,16 +110,6 @@ def cond_prob(spec: KernelSpec, next_bit: int, context) -> float:
     return spec.pi if next_bit == pi_letter(spec.variant, window) else 1.0 - spec.pi
 
 
-def _word_parities(order: int) -> np.ndarray:
-    v = np.arange(1 << order, dtype=np.uint32)
-    v ^= v >> np.uint32(16)
-    v ^= v >> np.uint32(8)
-    v ^= v >> np.uint32(4)
-    v ^= v >> np.uint32(2)
-    v ^= v >> np.uint32(1)
-    return (v & np.uint32(1)).astype(np.uint8)
-
-
 @dataclass(frozen=True)
 class KernelTable:
     """Materialized conditional probabilities, one row per context word.
@@ -149,7 +141,9 @@ def kernel_table(spec: KernelSpec, cap: int = TABLE_ORDER_CAP) -> KernelTable:
     """Materialize the 2^k-row table of conditional probabilities."""
     if spec.order > cap:
         raise CapacityError(f"order {spec.order} exceeds table cap {cap}")
-    letter = _word_parities(spec.order) ^ np.uint8(pi_letter(spec.variant, 0))
+    letter = np.array([pi_letter(spec.variant, 0)], dtype=np.uint8)
+    for _ in range(spec.order):
+        letter = np.concatenate([letter, letter ^ 1])
     pi, q = spec.pi, 1.0 - spec.pi
     p0 = np.where(letter == 0, pi, q)
     p1 = np.where(letter == 1, pi, q)

@@ -123,6 +123,18 @@ def test_combine_config(tmp_path):
     assert code == 2
 
 
+def test_combine_config_errors_exit_1(tmp_path):
+    path = tmp_path / "bad.cfg"
+    for text, message in (
+            ("cut 2\ncomponent order=2 pi=0.2 seed=1\ncomponent order=0 pi=7 seed=1\n",
+             "twofaced combine: config line 3: order must be a positive integer"),
+            ("cut 2\ncomponent order=2 pi=0.2 seed=1 order=3\n",
+             "twofaced combine: config line 2: repeated key")):
+        path.write_text(text)
+        code, out, err = invoke(["combine", "--config", str(path), "--length", "2"])
+        assert (code, out) == (1, b"") and err.startswith(message)
+
+
 def test_whiten_zero_input_equals_gen_mask():
     zeros = b"0" * 200
     code, masked, _ = invoke(["whiten", "--order", "4", "--pi", "0.2",

@@ -162,6 +162,24 @@ def test_config_errors():
         parse_config("cut 4\ncut 2\ncomponent order=2 pi=0.2 seed=1")
 
 
+def test_config_rejects_components_never_built():
+    # the third component lies past any requested length, yet is invalid
+    text = "cut 2\ncomponent order=2 pi=0.2 seed=1\ncomponent order=0 pi=7 seed=1"
+    with pytest.raises(ConfigurationError, match="config line 3: order"):
+        parse_config(text)
+    for bad in ({"order": 0, "pi": 0.2}, {"order": 2, "pi": 7.0},
+                {"order": 2.5, "pi": 0.2}):
+        with pytest.raises(ValueError):
+            ComponentSpec(seed=1, **bad)
+
+
+def test_config_rejects_repeated_keys():
+    for line in ("component order=2 pi=0.2 seed=1 order=3",
+                 "component order=2 pi=0.2 seed=1 variant=bar variant=plain"):
+        with pytest.raises(ConfigurationError, match="config line 1: repeated key"):
+            parse_config(line)
+
+
 def test_load_config(tmp_path):
     path = tmp_path / "mask.cfg"
     cfg = default_config(pi=0.2, seed=5, n=100)

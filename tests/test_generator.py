@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,23 @@ def test_exact_block_distribution_caps():
         exact_block_distribution(_kernel(2, 0.2), StateDistribution.uniform(2), 0, 11)
     with pytest.raises(ValueError):
         exact_block_distribution(_kernel(2, 0.2), StateDistribution.uniform(3), 0, 2)
+
+
+@pytest.mark.parametrize("order", [21, 24])
+def test_exact_operations_refuse_large_orders_before_allocating(order):
+    # 2^24 float states would take 128 MiB; the cap must fire first
+    calls = (lambda: exact_conditional_entropy(_kernel(order, 0.2), 2),
+             lambda: StateDistribution.uniform(order),
+             lambda: StateDistribution.point_mass(order, "0" * order))
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="exact-computation cap 20"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_point_mass_converges_to_uniform():

@@ -74,6 +74,27 @@ def test_occurrence_count_errors():
         occurrence_count("01", "0101")
 
 
+def _brute_force_count(seq, word):
+    seq, word = list(seq), list(word)
+    m = len(word)
+    return sum(seq[i:i + m] == word for i in range(len(seq) - m + 1))
+
+
+@pytest.mark.parametrize("m", [60, 61, 64, 200])
+def test_occurrence_count_long_patterns_match_brute_force(m):
+    periodic = [1, 1, 0] * 400  # every third window of any length is a hit
+    rand = next_bits(CounterBitSource(m), 1500).array.tolist()
+    for seq in (periodic, rand):
+        for start in (0, 1, 700):
+            word = seq[start:start + m]
+            want = _brute_force_count(seq, word)
+            assert want >= 1
+            assert occurrence_count(seq, word) == want
+    assert occurrence_count(periodic, periodic[:m]) == (len(periodic) - m) // 3 + 1
+    miss = rand[:m - 1] + [1 - rand[m - 1]]
+    assert occurrence_count(rand, miss) == _brute_force_count(rand, miss)
+
+
 @given(bit_lists, st.integers(1, 6))
 def test_counts_partition_windows(seq, m):
     if m > len(seq):
