@@ -75,7 +75,6 @@ def test_occurrence_count_errors():
 
 
 def _brute_force_count(seq, word):
-    seq, word = list(seq), list(word)
     m = len(word)
     return sum(seq[i:i + m] == word for i in range(len(seq) - m + 1))
 
