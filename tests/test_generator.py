@@ -303,3 +303,30 @@ def test_uniform_blocks_property(k, pi, j):
     for m in range(1, k + 1):
         law = exact_block_distribution(kern, StateDistribution.uniform(k), j, m)
         assert np.abs(law - 2.0 ** -m).max() <= 1e-12
+
+
+def _exact_chain_digest():
+    # one sha256 over every exact law on a grid: block laws at several
+    # offsets and lengths up to order + 8, propagated state laws, and the
+    # conditional entropies, from uniform and point-mass starts
+    h = hashlib.sha256()
+    for variant in Variant:
+        for k in range(1, 11):
+            for pi in (0.1, 0.2, 0.5, 0.77, 1e-9):
+                kern = KernelSpec(variant, k, pi)
+                starts = (StateDistribution.uniform(k),
+                          StateDistribution.point_mass(k, ("10" * k)[:k]))
+                for start in starts:
+                    for offset in (0, 1, 3, 7):
+                        for m in range(1, k + 9):
+                            h.update(exact_block_distribution(
+                                kern, start, offset, m).tobytes())
+                        h.update(propagate(kern, start, offset).probs.tobytes())
+                for m in range(1, k + 9):
+                    h.update(repr(exact_conditional_entropy(kern, m)).encode())
+    return h.hexdigest()
+
+
+def test_exact_chain_golden_digest():
+    assert _exact_chain_digest() == (
+        "470ef2324c2a0e7b1bd8c3ef61fa9ab0063db99c604b7cfa8e2533b8193024f7")
