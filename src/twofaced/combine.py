@@ -73,7 +73,9 @@ class ComponentSpec:
     variant: Variant = Variant.PLAIN
 
     def __post_init__(self):
-        self.kernel()  # rejects a bad order or pi here, not when first built
+        # reject a bad order, pi or seed here, not when first built
+        self.kernel()
+        CounterBitSource(self.seed)
 
     def kernel(self) -> KernelSpec:
         return KernelSpec(self.variant, self.order, self.pi)

@@ -13,10 +13,12 @@ The coder is an integer range coder in the classic reference style
 handling via pending inverted bits, termination by a single 1 bit.
 Encoder and decoder are one function each: a 1 raises `low`, a 0 lowers
 `high`.  The encoder steps symbol by symbol, the decoder through runs of
-the more probable symbol, renormalising only at run ends, bit-identical
-to a per-symbol decoder; past the end of the code word it reads zeros
-(decoding is total; the induced tail bias is a documented artifact of
-finite seeds).  Golden vectors in the test suite pin the exact bits.
+1s, renormalising only at run ends, bit-identical to a per-symbol
+decoder.  `expand` only needs pi <= 1/2, where the runs are long; above
+1/2 decoding is correct but slower, as every 0 ends a run.  Past the end
+of the code word the decoder reads zeros (decoding is total; the induced
+tail bias is a documented artifact of finite seeds).  Golden vectors in
+the test suite pin the exact bits.
 """
 from __future__ import annotations
 
@@ -154,49 +156,31 @@ def bernoulli_decode(code, pi: float, n: int,
     for _ in range(precision):
         point = (point << 1) | read()
     low, high = 0, mask
-    ones = f0 <= f1  # the more probable symbol is 1
-    out = bytearray([ones]) * n
+    out = bytearray([1]) * n
     i = 0
     while True:
-        # Decode a run of the more probable symbol.  Within the run one
-        # end of the interval stays put (`high` for 1s, `low` for 0s) and
-        # only the span shrinks, so every decision compares the span with
-        # a threshold fixed for the run: the other symbol comes next iff
-        # span <= lps_at (the coder's test `point - low < span * f0 //
-        # total` solved for span), and a renormalisation is due iff
-        # span <= renorm_at (both ends in one half of the range, or both
-        # inside its middle half [second, top + second)).
+        # Decode a run of 1s.  Within the run `high` stays put and only
+        # the span shrinks, so every decision compares the span with a
+        # threshold fixed for the run: a 0 comes next iff span <= zero_at
+        # (the coder's test `point - low < span * f0 // total` solved for
+        # span), and a renormalisation is due iff span <= renorm_at (both
+        # ends in one half of the range, or both inside its middle half
+        # [second, top + second)).
         span = high - low + 1
-        if ones:
-            lps_at = ((high - point) << sh) // f1
-            renorm_at = high + 1 - (top if high >= top + second else second)
-            stop = max(lps_at, renorm_at)
-            for i in range(i, n):
-                if span <= stop:
-                    break
-                span -= (span * f0) >> sh
-            else:
+        zero_at = ((high - point) << sh) // f1
+        renorm_at = high + 1 - (top if high >= top + second else second)
+        stop = max(zero_at, renorm_at)
+        for i in range(i, n):
+            if span <= stop:
                 break
-            low = high + 1 - span
-            if span > renorm_at:  # the run ends in a 0 at position i
-                high = low + ((span * f0) >> sh) - 1
-                out[i] = 0
-                i += 1
+            span -= (span * f0) >> sh
         else:
-            lps_at = (((point - low + 1) << sh) - 1) // f0
-            renorm_at = (top + second if low >= second else top) - low
-            stop = max(lps_at, renorm_at)
-            for i in range(i, n):
-                if span <= stop:
-                    break
-                span = (span * f0) >> sh
-            else:
-                break
-            high = low + span - 1
-            if span > renorm_at:  # the run ends in a 1 at position i
-                low += (span * f0) >> sh
-                out[i] = 1
-                i += 1
+            break
+        low = high + 1 - span
+        if span > renorm_at:  # the run ends in a 0 at position i
+            high = low + ((span * f0) >> sh) - 1
+            out[i] = 0
+            i += 1
         while ((low ^ high) & top) == 0:
             point = ((point << 1) & mask) | read()
             low = (low << 1) & mask

@@ -9,8 +9,8 @@ The exact operations treat the chain on 2^k context states explicitly:
 yields the law of a length-m window at a given offset, and
 `exact_conditional_entropy` evaluates the order-m conditional entropy of
 the stationary (uniform-initial) process in bits per letter.  These are
-desk-scale tools; they are capped at 2^order states and order+8 bits of
-window extension.
+desk-scale tools; they are capped at 2^order states and at windows of
+min(order+8, 24) bits.
 """
 from __future__ import annotations
 
@@ -21,9 +21,10 @@ import numpy as np
 
 from .bitseq import BitSequence, as_bit_array
 from .errors import CapacityError
-from .kernels import (KernelSpec, TABLE_ORDER_CAP, context_to_int,
+from .kernels import (KernelSpec, KernelTable, TABLE_ORDER_CAP, context_to_int,
                       int_to_context, kernel_table, pi_letter)
 from .sources import BitSource
+from .stats import BLOCK_LEN_CAP
 
 EXTENSION_CAP = 8
 
@@ -66,8 +67,6 @@ def generate(state: GeneratorState, n: int, reals) -> BitSequence:
     is below P(0 | the window at that step)."""
     if n < 0:
         raise ValueError("length must be nonnegative")
-    if n == 0:
-        return BitSequence()
     kernel = state.kernel
     k = kernel.order
     u = reals.reals(n)
@@ -131,28 +130,22 @@ class StateDistribution:
         return cls(order, p)
 
 
-def _propagate_array(p: np.ndarray, p0: np.ndarray, p1: np.ndarray,
-                     steps: int) -> np.ndarray:
-    half = p.size >> 1
-    for _ in range(steps):
-        nxt = np.empty_like(p)
-        lo, hi = p[:half], p[half:]
-        nxt[0::2] = lo * p0[:half] + hi * p0[half:]
-        nxt[1::2] = lo * p1[:half] + hi * p1[half:]
-        p = nxt
-    return p
+def _extend(p: np.ndarray, table: KernelTable) -> np.ndarray:
+    """Law of the (t+1)-windows from the law `p` of the t-windows, t >= order:
+    the new letter's probability is read from the last `order` bits."""
+    out = np.empty(p.size << 1)
+    rows = p.reshape(-1, table.p0.size)
+    halves = out.reshape(rows.shape + (2,))
+    np.multiply(rows, table.p0, out=halves[..., 0])
+    np.multiply(rows, table.p1, out=halves[..., 1])
+    return out
 
 
 def propagate(kernel: KernelSpec, dist: StateDistribution,
               steps: int = 1) -> StateDistribution:
     """Advance a context distribution through `steps` chain transitions."""
-    if dist.order != kernel.order:
-        raise ValueError("distribution order does not match kernel order")
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    table = kernel_table(kernel)
     return StateDistribution(
-        kernel.order, _propagate_array(dist.probs, table.p0, table.p1, steps))
+        kernel.order, exact_block_distribution(kernel, dist, steps, kernel.order))
 
 
 def exact_block_distribution(kernel: KernelSpec, initial: StateDistribution,
@@ -161,8 +154,9 @@ def exact_block_distribution(kernel: KernelSpec, initial: StateDistribution,
     after the initial window.
 
     Returns a vector over all words of that length, indexed big-endian.
-    Computed by `offset` steps of state propagation followed by window
-    extension (block_len > order) or marginalization (block_len < order).
+    Each chain step extends the window by one letter and, for the
+    `offset` steps, then sums the oldest letter out; what is left is
+    marginalized (block_len < order) or extended (block_len > order).
     """
     k = kernel.order
     m = block_len
@@ -172,19 +166,17 @@ def exact_block_distribution(kernel: KernelSpec, initial: StateDistribution,
         raise ValueError("offset must be nonnegative")
     if m < 1:
         raise ValueError("block length must be positive")
-    if m > k + EXTENSION_CAP:
+    if m > min(k + EXTENSION_CAP, BLOCK_LEN_CAP):
         raise CapacityError(
-            f"block length {m} exceeds extension cap order+{EXTENSION_CAP}")
+            f"block length {m} exceeds cap min(order+{EXTENSION_CAP}, {BLOCK_LEN_CAP})")
     table = kernel_table(kernel)
-    p = _propagate_array(initial.probs, table.p0, table.p1, offset)
+    p = initial.probs
+    for _ in range(offset):
+        p = _extend(p, table).reshape(2, -1).sum(axis=0)
     if m < k:
         return p.reshape(1 << m, -1).sum(axis=1)
-    for t in range(k, m):
-        reps = 1 << (t - k)
-        nxt = np.empty(1 << (t + 1))
-        nxt[0::2] = p * np.tile(table.p0, reps)
-        nxt[1::2] = p * np.tile(table.p1, reps)
-        p = nxt
+    for _ in range(k, m):
+        p = _extend(p, table)
     return p
 
 

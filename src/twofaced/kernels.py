@@ -137,10 +137,10 @@ class KernelTable:
         return "\n".join(lines) + "\n"
 
 
-def kernel_table(spec: KernelSpec, cap: int = TABLE_ORDER_CAP) -> KernelTable:
+def kernel_table(spec: KernelSpec) -> KernelTable:
     """Materialize the 2^k-row table of conditional probabilities."""
-    if spec.order > cap:
-        raise CapacityError(f"order {spec.order} exceeds table cap {cap}")
+    if spec.order > TABLE_ORDER_CAP:
+        raise CapacityError(f"order {spec.order} exceeds table cap {TABLE_ORDER_CAP}")
     letter = np.array([pi_letter(spec.variant, 0)], dtype=np.uint8)
     for _ in range(spec.order):
         letter = np.concatenate([letter, letter ^ 1])

@@ -47,14 +47,14 @@ class CounterBitSource(BitSource):
     """Deterministic bit stream keyed by a 64-bit seed."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK64
+        self.seed = int(seed)
+        if not 0 <= self.seed <= _MASK64:
+            raise ValueError(f"seed must lie in [0, 2^64), got {seed!r}")
         self._pos = 0  # absolute bit position
 
     def bits(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError("bit count must be nonnegative")
-        if n == 0:
-            return np.empty(0, dtype=np.uint8)
         first = self._pos >> 6
         last = (self._pos + n - 1) >> 6
         ctr = np.arange(first, last + 1, dtype=np.uint64)
@@ -74,8 +74,6 @@ class OSBitSource(BitSource):
     def bits(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError("bit count must be nonnegative")
-        if n == 0:
-            return np.empty(0, dtype=np.uint8)
         raw = np.frombuffer(os.urandom((n + 7) // 8), dtype=np.uint8)
         return np.unpackbits(raw, count=n, bitorder="little")
 
@@ -124,8 +122,6 @@ class UniformRealSource:
     def reals(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError("draw count must be nonnegative")
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
         # Each 53-bit row packs MSB first into 7 bytes (3 zero pad bits);
         # behind a zero byte they read as a big-endian u64 of mantissa << 3.
         # The conversion to float64 and the power-of-two scaling are exact.

@@ -51,6 +51,15 @@ def test_gen_requires_entropy_flag():
     assert code == 2
 
 
+def test_gen_seed_outside_64_bits_is_one_line_runtime_error():
+    # no silent wrap to seed 0 or to seed 2^64 - 1
+    for seed in ("18446744073709551616", "-1"):
+        code, out, err = invoke(["gen", "--order", "3", "--pi", "0.2", "--length", "8",
+                                 "--seed", seed])
+        assert (code, out) == (1, b"")
+        assert err == f"twofaced gen: seed must lie in [0, 2^64), got {seed}\n"
+
+
 def test_gen_matches_library():
     code, out, _ = invoke(["gen", "--order", "3", "--pi", "0.2", "--length", "64",
                            "--seed", "5"])

@@ -173,6 +173,14 @@ def test_config_rejects_components_never_built():
             ComponentSpec(seed=1, **bad)
 
 
+def test_config_rejects_seeds_outside_64_bits():
+    for seed in (1 << 64, -1):
+        with pytest.raises(ConfigurationError, match="config line 2: seed must lie"):
+            parse_config(f"cut 2\ncomponent order=2 pi=0.2 seed={seed}")
+        with pytest.raises(ValueError):
+            ComponentSpec(order=2, pi=0.2, seed=seed)
+
+
 def test_config_rejects_repeated_keys():
     for line in ("component order=2 pi=0.2 seed=1 order=3",
                  "component order=2 pi=0.2 seed=1 variant=bar variant=plain"):

@@ -15,7 +15,7 @@ from twofaced.generator import (StateDistribution,
                                 init_fixed, init_uniform, limit_entropy,
                                 propagate)
 from twofaced.kernels import KernelSpec, Variant
-from twofaced.sources import (CounterBitSource, ReplayBitSource,
+from twofaced.sources import (CounterBitSource, OSBitSource, ReplayBitSource,
                               UniformRealSource)
 from twofaced.stats import chi_square_pvalue
 
@@ -330,3 +330,34 @@ def _exact_chain_digest():
 def test_exact_chain_golden_digest():
     assert _exact_chain_digest() == (
         "470ef2324c2a0e7b1bd8c3ef61fa9ab0063db99c604b7cfa8e2533b8193024f7")
+
+
+@pytest.mark.parametrize("m", [25, 28])
+def test_exact_windows_refuse_long_blocks_before_allocating(m):
+    # order+8 would allow m = 28, a 2 GiB law at 2^28 windows; the
+    # 24-bit block cap fires first, after only the 8 MiB uniform start
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=f"block length {m} exceeds cap"):
+            exact_conditional_entropy(_kernel(20, 0.2), m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 << 20
+
+
+def test_zero_length_draws_leave_source_and_state_alone():
+    src, fresh = CounterBitSource(9), CounterBitSource(9)
+    src.bits(5), fresh.bits(5)  # unaligned within the first 64-bit block
+    bits = src.bits(0)
+    assert bits.dtype == np.uint8 and bits.size == 0
+    reals = UniformRealSource(src).reals(0)
+    assert reals.dtype == np.float64 and reals.size == 0
+    assert OSBitSource().bits(0).dtype == np.uint8
+    state = init_uniform(_kernel(3), src)
+    context = state.context
+    out = generate(state, 0, UniformRealSource(src))
+    assert len(out) == 0 and out.array.dtype == np.uint8
+    assert (state.context, state.steps_emitted) == (context, 0)
+    fresh.bits(3)
+    assert np.array_equal(src.bits(100), fresh.bits(100))

@@ -133,7 +133,6 @@ def test_kernel_table_small():
 def test_kernel_table_cap():
     with pytest.raises(CapacityError):
         kernel_table(KernelSpec(Variant.PLAIN, 21, 0.3))
-    kernel_table(KernelSpec(Variant.PLAIN, 21, 0.3), cap=21)
 
 
 # sha256 over the p0 then p1 bytes of kernel_table(KernelSpec(variant, k,
