@@ -247,6 +247,89 @@ def test_bar_variant_golden_digests():
     assert got == _BAR_DIGESTS
 
 
+# sha256 of stdout for each masking run over one 4,000-bit `gen` stream,
+# computed while `whiten` still dispatched on the mask type in `combine`.
+_MASK_DIGESTS = {
+    ("whiten --order", "ascii01"):
+        "20b319234e658f70d5dc74af58728df12d6a45603f29ea27b573455b3fa61852",
+    ("whiten --order", "packed"):
+        "2c9bf0218c77af7185ee09c9fec7498a09aadf9d46da3b731b7af6073df54fa4",
+    ("whiten --config ladder", "ascii01"):
+        "ec79e0fdc21caacced02e290bd98b9f96c585ebbdd6f28c22e4332583eae3498",
+    ("whiten --config ladder", "packed"):
+        "95be1bb182efb083ac0aa07e193c3c4d109ea3c26995a06a7db2eeb703240102",
+    ("whiten --config mixed", "ascii01"):
+        "43333624b1a0fc17ae408c3e533fb48295714796e18fb3600013c825c5173089",
+    ("whiten --config mixed", "packed"):
+        "af9ff33efceda2581b3bdac38750dc4f0c2a1bfe98091ef7ec749fbe609effca",
+    ("combine --xor-with", "ascii01"):
+        "de05e59a54d5edbb936ebda71e96bbc404c5a645a3e87f7243ed2806994c6c38",
+    ("combine --xor-with", "packed"):
+        "ce9e731206406d3644c60e81ad4e9bea2c92e8459efd98c1e070764c8ed0347d",
+}
+
+_MIXED_CONFIG = """cut 3
+cut 40
+cut 500
+component order=3 pi=0.2 seed=11
+component order=40 pi=0.3 seed=12 variant=bar
+component order=500 pi=0.77 seed=13
+component order=5000 pi=0.1 seed=14 variant=bar
+"""
+
+
+def _gen_4000(fmt, seed="9"):
+    code, stream, err = invoke(["gen", "--order", "6", "--pi", "0.3", "--length", "4000",
+                                "--seed", seed, "--format", fmt])
+    assert code == 0 and err == ""
+    return stream
+
+
+def test_mask_golden_digests(tmp_path):
+    ladder = tmp_path / "ladder.cfg"
+    ladder.write_text(render_config(default_config(pi=0.2, seed=3, n=4000)))
+    mixed = tmp_path / "mixed.cfg"
+    mixed.write_text(_MIXED_CONFIG)
+    got = {}
+    for fmt in ("ascii01", "packed"):
+        stream = _gen_4000(fmt)
+        other = tmp_path / f"other.{fmt}"
+        other.write_bytes(_gen_4000(fmt, seed="10"))
+        for name, argv in (
+                ("whiten --order", ["whiten", "--order", "5", "--pi", "0.2", "--seed", "4"]),
+                ("whiten --config ladder", ["whiten", "--config", str(ladder)]),
+                ("whiten --config mixed", ["whiten", "--config", str(mixed)]),
+                ("combine --xor-with", ["combine", "--xor-with", str(other)])):
+            code, out, err = invoke(argv + ["--format", fmt], stream)
+            assert code == 0 and err == "", (name, fmt, err)
+            got[name, fmt] = hashlib.sha256(out).hexdigest()
+    assert got == _MASK_DIGESTS
+
+
+def test_mask_runtime_errors_are_one_line(tmp_path):
+    short = tmp_path / "short.cfg"
+    short.write_text("cut 2\ncomponent order=2 pi=0.2 seed=1\n")
+    other = tmp_path / "other.bits"
+    other.write_text("01")
+    stream = _gen_4000("ascii01")
+    for argv, message in (
+            (["whiten", "--config", str(short)],
+             "twofaced whiten: 2 components required for length 4000, got 1\n"),
+            (["combine", "--xor-with", str(other)],
+             "twofaced combine: length mismatch: 4000 vs 2\n")):
+        code, out, err = invoke(argv, stream)
+        assert (code, out, err) == (1, b"", message)
+
+
+def test_whiten_order_usage_errors_exit_2(capsys):
+    for argv, message in (
+            (["whiten", "--order", "5", "--pi", "0.2"], "an entropy flag is required"),
+            (["whiten", "--order", "5", "--seed", "4"], "--pi is required with --order")):
+        code, out, _ = invoke(argv, b"0110")
+        assert (code, out) == (2, b"")
+        assert message in capsys.readouterr().err  # argparse prints usage errors
+
+
 # sha256 of `analyze` stdout, text and --csv, computed before the block
 # statistics were counted from one histogram.
 _ANALYZE_DIGESTS = {
