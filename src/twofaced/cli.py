@@ -131,15 +131,19 @@ def _write_output(stdout, seq: BitSequence, fmt: str) -> None:
         stdout.write(b"\n")
 
 
-def _cmd_gen(args, parser, stdin, stdout) -> int:
+def _kernel_stream(args, parser, n: int, init=None) -> BitSequence:
     kernel = KernelSpec(Variant(args.variant), args.order, args.pi)
     source = _entropy_source(args, parser)
-    if args.init is not None:
-        state = init_fixed(kernel, args.init)
+    if init is not None:
+        state = init_fixed(kernel, init)
     else:
         state = init_uniform(kernel, source)
-    out = generate(state, args.length, UniformRealSource(source))
-    _write_output(stdout, out, args.format)
+    return generate(state, n, UniformRealSource(source))
+
+
+def _cmd_gen(args, parser, stdin, stdout) -> int:
+    _write_output(stdout, _kernel_stream(args, parser, args.length, args.init),
+                  args.format)
     return 0
 
 
@@ -160,25 +164,28 @@ def _cmd_combine(args, parser, stdin, stdout) -> int:
         config = combine_mod.load_config(args.config)
         out = combine_mod.twice_two_faced_from_config(config, args.length)
     else:
+        if args.length is not None:
+            parser.error("--length is not allowed with --xor-with")
         seq = _read_input(stdin, args.format)
         with open(args.xor_with, "rb") as fh:
-            other = decode_stream(fh.read(), args.format)
-        out = combine_mod.xor_streams(seq, other)
+            out = seq ^ _read_input(fh, args.format)
     _write_output(stdout, out, args.format)
     return 0
 
 
 def _cmd_whiten(args, parser, stdin, stdout) -> int:
+    if args.config is not None and (args.pi is not None or args.seed is not None
+                                    or args.os_entropy or args.entropy_file is not None):
+        parser.error("--pi and the entropy flags are not allowed with --config")
     seq = _read_input(stdin, args.format)
     if args.config is not None:
-        mask_spec = combine_mod.load_config(args.config)
-        out = combine_mod.whiten(seq, mask_spec)
+        config = combine_mod.load_config(args.config)
+        mask = combine_mod.twice_two_faced_from_config(config, len(seq))
     else:
         if args.pi is None:
             parser.error("--pi is required with --order")
-        kernel = KernelSpec(Variant(args.variant), args.order, args.pi)
-        out = combine_mod.whiten(seq, kernel, _entropy_source(args, parser))
-    _write_output(stdout, out, args.format)
+        mask = _kernel_stream(args, parser, len(seq))
+    _write_output(stdout, seq ^ mask, args.format)
     return 0
 
 

@@ -1,8 +1,8 @@
-"""XOR combination of bit streams and the growing-order construction.
+"""The growing-order construction: XOR combination of kernel streams.
 
 XOR-ing any stream with a stream whose k-blocks are exactly uniform
-yields a stream whose k-blocks are exactly uniform; `xor_streams` is
-that operation.  `twice_two_faced` pushes the idea to every block
+(`a ^ b` on two `BitSequence`s) yields a stream whose k-blocks are
+exactly uniform.  `twice_two_faced` pushes the idea to every block
 length: over a strictly increasing cut sequence n_1 < n_2 < ..., output
 position i XORs the first m component streams, where m is the index of
 the segment containing i (i <= n_1 uses one component, n_1 < i <= n_2
@@ -31,14 +31,9 @@ from .bitseq import BitSequence
 from .errors import ConfigurationError
 from .generator import generate, init_uniform
 from .kernels import KernelSpec, Variant
-from .sources import BitSource, CounterBitSource, UniformRealSource, mix64
+from .sources import CounterBitSource, UniformRealSource, mix64
 
 StreamFactory = Callable[[int], BitSequence]
-
-
-def xor_streams(a: BitSequence, b: BitSequence) -> BitSequence:
-    """Bitwise XOR of two equal-length streams."""
-    return a ^ b
 
 
 @dataclass(frozen=True)
@@ -128,6 +123,7 @@ def default_config(pi: float, seed: int, n: int) -> TwiceTwoFacedConfig:
     Component j (1-based) has order 2^j; per-component seeds are derived
     from the base seed by mixing so the streams are independent.
     """
+    CounterBitSource(seed)  # reject a base seed outside [0, 2^64), as ComponentSpec does
     cuts = []
     c = 2
     while c < n:
@@ -189,22 +185,3 @@ def render_config(config: TwiceTwoFacedConfig) -> str:
 def load_config(path) -> TwiceTwoFacedConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
-
-
-def whiten(seq: BitSequence, mask_spec, source: BitSource | None = None) -> BitSequence:
-    """XOR the input with a freshly generated mask of equal length.
-
-    `mask_spec` is either a KernelSpec (requires a bit source for the
-    mask) or a TwiceTwoFacedConfig (self-seeded).
-    """
-    n = len(seq)
-    if isinstance(mask_spec, KernelSpec):
-        if source is None:
-            raise ValueError("a bit source is required for a kernel mask")
-        state = init_uniform(mask_spec, source)
-        mask = generate(state, n, UniformRealSource(source))
-    elif isinstance(mask_spec, TwiceTwoFacedConfig):
-        mask = twice_two_faced_from_config(mask_spec, n)
-    else:
-        raise TypeError("mask_spec must be a KernelSpec or TwiceTwoFacedConfig")
-    return xor_streams(seq, mask)

@@ -6,6 +6,8 @@ import sys
 import warnings
 from pathlib import Path
 
+import pytest
+
 from twofaced.bitseq import decode_stream
 from twofaced.cli import run
 from twofaced.combine import default_config, render_config
@@ -159,6 +161,25 @@ def test_whiten_with_config(tmp_path):
     path.write_text(render_config(default_config(pi=0.2, seed=3, n=64)))
     code, out, _ = invoke(["whiten", "--config", str(path)], b"1" * 64)
     assert code == 0 and len(out.strip()) == 64
+
+
+@pytest.mark.parametrize("flag", [["--pi", "0.2"], ["--seed", "4"], ["--os-entropy"],
+                                  ["--entropy-file", "bits.bin"]])
+def test_whiten_config_refuses_ignored_flag(tmp_path, capsys, flag):
+    # the config fixes every component's pi and seed, so these would be ignored
+    path = tmp_path / "mask.cfg"
+    path.write_text(render_config(default_config(pi=0.2, seed=3, n=64)))
+    code, out, _ = invoke(["whiten", "--config", str(path)] + flag, b"1" * 64)
+    assert (code, out) == (2, b"")
+    assert "not allowed with --config" in capsys.readouterr().err
+
+
+def test_combine_xor_with_refuses_length(tmp_path, capsys):
+    other = tmp_path / "other.bits"
+    other.write_text("0101")
+    code, out, _ = invoke(["combine", "--xor-with", str(other), "--length", "2"], b"0011")
+    assert (code, out) == (2, b"")
+    assert "--length is not allowed with --xor-with" in capsys.readouterr().err
 
 
 def test_analyze_csv_header():

@@ -7,7 +7,7 @@ from twofaced.bitseq import BitSequence
 from twofaced.combine import (ComponentSpec, CutSequence, TwiceTwoFacedConfig,
                               component_stream, default_config, load_config,
                               parse_config, render_config, twice_two_faced,
-                              twice_two_faced_from_config, whiten, xor_streams)
+                              twice_two_faced_from_config)
 from twofaced.errors import ConfigurationError
 from twofaced.generator import (StateDistribution, exact_block_distribution,
                                 generate, init_uniform)
@@ -19,20 +19,20 @@ bit_lists = st.lists(st.integers(0, 1), max_size=64)
 
 
 def test_xor_examples():
-    assert xor_streams(BitSequence("10110"), BitSequence("01010")) == BitSequence("11100")
+    assert BitSequence("10110") ^ BitSequence("01010") == BitSequence("11100")
     a = BitSequence("110011")
-    assert xor_streams(a, a) == BitSequence.zeros(6)
+    assert a ^ a == BitSequence.zeros(6)
     with pytest.raises(ValueError):
-        xor_streams(BitSequence("10"), BitSequence("1"))
+        BitSequence("10") ^ BitSequence("1")
 
 
 @given(bit_lists, bit_lists, bit_lists)
 def test_xor_algebra(a, b, c):
     n = min(len(a), len(b), len(c))
     a, b, c = BitSequence(a[:n]), BitSequence(b[:n]), BitSequence(c[:n])
-    assert xor_streams(a, b) == xor_streams(b, a)
-    assert xor_streams(xor_streams(a, b), c) == xor_streams(a, xor_streams(b, c))
-    assert xor_streams(a, BitSequence.zeros(n)) == a
+    assert a ^ b == b ^ a
+    assert (a ^ b) ^ c == a ^ (b ^ c)
+    assert a ^ BitSequence.zeros(n) == a
 
 
 def test_cut_sequence_validation():
@@ -179,6 +179,10 @@ def test_config_rejects_seeds_outside_64_bits():
             parse_config(f"cut 2\ncomponent order=2 pi=0.2 seed={seed}")
         with pytest.raises(ValueError):
             ComponentSpec(order=2, pi=0.2, seed=seed)
+        # a base seed is not aliased either (-1 to 2^64 - 1, 2^64 to 0)
+        with pytest.raises(ValueError, match=f"seed must lie in .*, got {seed}$"):
+            default_config(pi=0.2, seed=seed, n=100)
+    assert default_config(pi=0.2, seed=(1 << 64) - 1, n=100).components
 
 
 def test_config_rejects_repeated_keys():
@@ -212,26 +216,13 @@ def test_component_stream_deterministic():
     assert factory(50) == factory(80)[:50]
 
 
-def test_whiten_zero_input_returns_mask():
-    kern = KernelSpec(Variant.PLAIN, 4, 0.2)
-    out = whiten(BitSequence.zeros(200), kern, CounterBitSource(8))
-    src = CounterBitSource(8)
-    mask = generate(init_uniform(kern, src), 200, UniformRealSource(src))
-    assert out == mask
-
-
-def test_whiten_requires_source_for_kernel_mask():
-    with pytest.raises(ValueError):
-        whiten(BitSequence.zeros(8), KernelSpec(Variant.PLAIN, 2, 0.2))
-    with pytest.raises(TypeError):
-        whiten(BitSequence.zeros(8), "not a mask")
-
-
 def test_whiten_constant_input_statistics():
     # all-ones input XOR an order-8 mask still looks uniform through m = 8
     ones = BitSequence(np.ones(2 * 10 ** 5, dtype=np.uint8))
-    kern = KernelSpec(Variant.PLAIN, 8, 0.2)
-    out = whiten(ones, kern, CounterBitSource(2))
+    src = CounterBitSource(2)
+    mask = generate(init_uniform(KernelSpec(Variant.PLAIN, 8, 0.2), src), len(ones),
+                    UniformRealSource(src))
+    out = ones ^ mask
     for m in range(1, 9):
         assert block_frequencies(out, m).p_value > 1e-4
 
@@ -241,7 +232,7 @@ def test_whiten_biased_input_with_config_mask():
     n = 5 * 10 ** 4
     draws = UniformRealSource.from_seed(1234).reals(n)
     biased = BitSequence((draws < 0.9).astype(np.uint8))  # P(1) = 0.9
-    out = whiten(biased, default_config(pi=0.2, seed=0, n=n))
+    out = biased ^ twice_two_faced_from_config(default_config(pi=0.2, seed=0, n=n), n)
     for m in range(1, 11):
         assert block_frequencies(out, m).p_value > 1e-4
 
