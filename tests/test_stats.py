@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -94,6 +95,28 @@ def test_occurrence_count_long_patterns_match_brute_force(m):
     assert occurrence_count(rand, miss) == _brute_force_count(rand, miss)
 
 
+def _occurrence_digest():
+    # computed while counting forked at m = 60 between shifted windows and
+    # text search; the lengths cover both sides of the fork.  Hits are
+    # words read off the stream, misses the same words with the last bit
+    # flipped.
+    seq = next_bits(CounterBitSource(31), 10 ** 5).array
+    h = hashlib.sha256()
+    for m in (1, 2, 9, 16, 24, 59, 60, 61, 200):
+        for start in (0, 777, 54321, 10 ** 5 - m):
+            hit = seq[start:start + m].copy()
+            miss = hit.copy()
+            miss[-1] ^= 1
+            h.update(repr((m, start, occurrence_count(seq, hit),
+                           occurrence_count(seq, miss))).encode())
+    return h.hexdigest()
+
+
+def test_occurrence_count_golden_digest():
+    assert _occurrence_digest() == (
+        "692709d7b02580e1ac7cdb71c8b2529a8fd865022d6c01ab84033f241eef181e")
+
+
 @given(bit_lists, st.integers(1, 6))
 def test_counts_partition_windows(seq, m):
     if m > len(seq):
@@ -179,6 +202,21 @@ def test_entropy_estimates_on_chain():
     seq = generate(init_uniform(kern, src), 10 ** 6, UniformRealSource(src))
     assert empirical_conditional_entropy(seq, 4) == pytest.approx(1.0, abs=0.01)
     assert empirical_conditional_entropy(seq, 5) == pytest.approx(0.469, abs=0.01)
+
+
+def test_entropy_golden_digest():
+    # repr of every estimate to m = 16 on one order-8 stream; most
+    # 15-bit contexts are missing there, which the estimate warns about
+    kern = KernelSpec(Variant.PLAIN, 8, 0.2)
+    src = CounterBitSource(9)
+    seq = generate(init_uniform(kern, src), 10 ** 5, UniformRealSource(src))
+    h = hashlib.sha256()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        for m in range(1, 17):
+            h.update(repr(empirical_conditional_entropy(seq, m)).encode())
+    assert h.hexdigest() == (
+        "4fd5991b8d402779891a6acb6bf5d5cf5172e5dc47a5e18a561211d34c54f180")
 
 
 def test_entropy_missing_contexts_warn():

@@ -120,6 +120,23 @@ def test_conversion_golden_digests():
     assert got == _CONVERSION_DIGESTS
 
 
+def test_conversion_golden_digest_at_edge_lengths():
+    # computed with the four-array prefix-XOR scan: n = 0, 1, k and k + 1
+    # (empty, one bit, one row of k + 1 strides short of a bit, one full
+    # row) at small and large k, and 10^5 bits under a 2^17-bit word
+    h = hashlib.sha256()
+    cases = [(k, n) for k in (1, 7, 1000, 1 << 17) for n in (0, 1, k, k + 1)]
+    for k, n in cases + [(1 << 17, 10 ** 5)]:
+        v = next_bits(CounterBitSource(k), k)
+        x = next_bits(CounterBitSource(n + 5), n)
+        for variant in Variant:
+            for fn in (transform, inverse_transform):
+                y = fn(x, v, variant)
+                h.update(repr((k, n, len(y))).encode() + y.to_packed())
+    assert h.hexdigest() == (
+        "c7106319ea1bc797bf08179c9f72d5588eb0026bcc416866f7181a24e8a0276f")
+
+
 def test_determinism():
     a = transform("110100111101", "0110")
     b = transform("110100111101", "0110")
