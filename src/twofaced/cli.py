@@ -96,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     mask.add_argument("--config", metavar="PATH",
                       help="growing-order combination config file")
     p.add_argument("--pi", type=float, default=None)
-    p.add_argument("--variant", choices=["plain", "bar"], default="plain")
+    p.add_argument("--variant", choices=["plain", "bar"],
+                   help="kernel mask variant (with --order; default plain)")
     _add_entropy_flags(p)
     _add_format(p)
 
@@ -131,18 +132,20 @@ def _write_output(stdout, seq: BitSequence, fmt: str) -> None:
         stdout.write(b"\n")
 
 
-def _kernel_stream(args, parser, n: int, init=None) -> BitSequence:
-    kernel = KernelSpec(Variant(args.variant), args.order, args.pi)
+def _kernel_stream(args, parser, init=None):
+    """Check the kernel flags, open the entropy source and draw the initial
+    window; return the step that samples the next n bits."""
+    kernel = KernelSpec(Variant(args.variant or "plain"), args.order, args.pi)
     source = _entropy_source(args, parser)
     if init is not None:
         state = init_fixed(kernel, init)
     else:
         state = init_uniform(kernel, source)
-    return generate(state, n, UniformRealSource(source))
+    return lambda n: generate(state, n, UniformRealSource(source))
 
 
 def _cmd_gen(args, parser, stdin, stdout) -> int:
-    _write_output(stdout, _kernel_stream(args, parser, args.length, args.init),
+    _write_output(stdout, _kernel_stream(args, parser, args.init)(args.length),
                   args.format)
     return 0
 
@@ -174,18 +177,20 @@ def _cmd_combine(args, parser, stdin, stdout) -> int:
 
 
 def _cmd_whiten(args, parser, stdin, stdout) -> int:
-    if args.config is not None and (args.pi is not None or args.seed is not None
-                                    or args.os_entropy or args.entropy_file is not None):
-        parser.error("--pi and the entropy flags are not allowed with --config")
-    seq = _read_input(stdin, args.format)
+    # Flags, config and entropy source are all checked before stdin is read.
     if args.config is not None:
+        if (args.pi is not None or args.variant is not None or args.seed is not None
+                or args.os_entropy or args.entropy_file is not None):
+            parser.error("--pi, --variant and the entropy flags are not allowed "
+                         "with --config")
         config = combine_mod.load_config(args.config)
-        mask = combine_mod.twice_two_faced_from_config(config, len(seq))
+        mask = lambda n: combine_mod.twice_two_faced_from_config(config, n)
     else:
         if args.pi is None:
             parser.error("--pi is required with --order")
-        mask = _kernel_stream(args, parser, len(seq))
-    _write_output(stdout, seq ^ mask, args.format)
+        mask = _kernel_stream(args, parser)
+    seq = _read_input(stdin, args.format)
+    _write_output(stdout, seq ^ mask(len(seq)), args.format)
     return 0
 
 

@@ -24,7 +24,7 @@ from .errors import CapacityError
 from .kernels import (KernelSpec, KernelTable, TABLE_ORDER_CAP, context_to_int,
                       int_to_context, kernel_table, pi_letter)
 from .sources import BitSource
-from .stats import BLOCK_LEN_CAP
+from .stats import BLOCK_LEN_CAP, conditional_entropy
 
 EXTENSION_CAP = 8
 
@@ -188,13 +188,8 @@ def exact_conditional_entropy(kernel: KernelSpec, m: int) -> float:
     """
     if m < 1:
         raise ValueError("entropy order must be positive")
-    pm = exact_block_distribution(
-        kernel, StateDistribution.uniform(kernel.order), 0, m)
-    ctx = pm.reshape(-1, 2).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = pm / np.repeat(ctx, 2)
-        terms = np.where(pm > 0.0, pm * np.log2(ratio), 0.0)
-    return float(-terms.sum())
+    return conditional_entropy(exact_block_distribution(
+        kernel, StateDistribution.uniform(kernel.order), 0, m))
 
 
 def limit_entropy(pi: float) -> float:

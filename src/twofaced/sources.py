@@ -28,12 +28,17 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
+def _finalize(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer on a uint64 array (arithmetic mod 2^64)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
+
+
 def mix64(z: int) -> int:
     """The splitmix64 finalizer on a 64-bit word."""
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
+    # A one-element array, not an np.uint64 scalar: scalars warn on overflow.
+    return int(_finalize(np.array([z & _MASK64], dtype=np.uint64))[0])
 
 
 class BitSource:
@@ -58,10 +63,7 @@ class CounterBitSource(BitSource):
         first = self._pos >> 6
         last = (self._pos + n - 1) >> 6
         ctr = np.arange(first, last + 1, dtype=np.uint64)
-        z = (np.uint64(self.seed) + (ctr + np.uint64(1)) * np.uint64(_GAMMA))
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
+        z = _finalize(np.uint64(self.seed) + (ctr + np.uint64(1)) * np.uint64(_GAMMA))
         block_bits = np.unpackbits(z.astype("<u8").view(np.uint8), bitorder="little")
         start = self._pos - (first << 6)
         self._pos += n

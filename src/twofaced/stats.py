@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitseq import BitSequence, as_bit_array
+from .bitseq import as_bit_array
 from .errors import CapacityError
 
 BLOCK_LEN_CAP = 24
@@ -28,9 +28,9 @@ BLOCK_LEN_CAP = 24
 
 def _window_values(bits: np.ndarray, m: int) -> np.ndarray:
     """Integer value of every overlapping m-bit window, oldest bit high,
-    in the narrowest of uint16, uint32 and int64 that holds m bits."""
+    in uint16 up to m = 16 and in uint32 up to m = 32."""
     count = bits.size - m + 1
-    dtype = np.uint16 if m <= 16 else np.uint32 if m <= 32 else np.int64
+    dtype = np.uint16 if m <= 16 else np.uint32
     w = np.zeros(count, dtype=dtype)
     for j in range(m):
         w <<= 1
@@ -75,20 +75,11 @@ def occurrence_count(seq, u) -> int:
         raise ValueError("pattern must contain at least one bit")
     if m > bits.size:
         raise ValueError(f"pattern length {m} exceeds sequence length {bits.size}")
-    if m <= 60:
-        target = 0
-        for b in word:
-            target = (target << 1) | int(b)
-        return int(np.count_nonzero(_window_values(bits, m) == target))
-    # Long patterns: overlapping text search.
-    text = BitSequence._wrap(bits).to_ascii01()
-    pat = BitSequence._wrap(word).to_ascii01()
-    count = 0
-    pos = text.find(pat)
-    while pos != -1:
-        count += 1
-        pos = text.find(pat, pos + 1)
-    return count
+    count = bits.size - m + 1
+    hit = np.ones(count, dtype=bool)
+    for j in range(m):
+        hit &= bits[j:j + count] == word[j]
+    return int(np.count_nonzero(hit))
 
 
 @dataclass(frozen=True)
@@ -116,6 +107,18 @@ def block_frequencies(seq, m: int) -> BlockStats:
     return _analyze(as_bit_array(seq), m, m)[0]
 
 
+def conditional_entropy(law: np.ndarray) -> float:
+    """-sum w log2(w / ctx) over a law or count table w of the m-words,
+    where ctx sums the two continuations of each (m-1)-bit context and
+    0 log 0 is 0.  For a law this is the order-m conditional entropy in
+    bits per letter; for counts, divide by their total."""
+    ctx = law.reshape(-1, 2).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = law / np.repeat(ctx, 2)
+        terms = np.where(law > 0.0, law * np.log2(ratio), 0.0)
+    return float(-terms.sum())
+
+
 def empirical_conditional_entropy(seq, m: int) -> float:
     """Plug-in conditional entropy of order m in bits per letter.
 
@@ -132,11 +135,7 @@ def empirical_conditional_entropy(seq, m: int) -> float:
         warnings.warn(
             f"{missing} of {ctx.size} contexts never occur; "
             "they contribute zero to the estimate", stacklevel=2)
-    windows = bits.size - m + 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = counts / np.repeat(ctx, 2)
-        terms = np.where(counts > 0.0, counts * np.log2(ratio), 0.0)
-    return float(-terms.sum() / windows)
+    return conditional_entropy(counts) / (bits.size - m + 1)
 
 
 _EPS = 2.0 ** -52

@@ -26,20 +26,17 @@ from .kernels import Variant, context_to_int, int_to_context, pi_letter
 def _transform(x: np.ndarray, v: np.ndarray, offset: int) -> np.ndarray:
     # Prefix-XOR form: with c_i the running XOR of the extended output,
     # c_i = x_i ^ offset ^ c_{i-k-1}, so the c-chain splits into k+1
-    # independent cumulative-XOR strides and y_i = c_i ^ c_{i-1}.
+    # independent cumulative-XOR strides and y_i = c_i ^ c_{i-1}.  Row 0
+    # holds the seeds c_{-k-1} .. c_{-1} (0 and the prefix XORs of v); the
+    # rows below it hold x ^ offset, zero-padded to whole rows.
     k = v.size
     n = x.size
-    if n == 0:
-        return x
-    seeds = np.concatenate([np.zeros(1, np.uint8), np.bitwise_xor.accumulate(v)])
-    length = k + 1
-    rows = -(-n // length)
-    padded = np.zeros(rows * length, dtype=np.uint8)
-    np.bitwise_xor(x, np.uint8(offset), out=padded[:n])
-    stacked = np.vstack([seeds[None, :], padded.reshape(rows, length)])
-    c = np.bitwise_xor.accumulate(stacked, axis=0)
-    c_full = np.concatenate([seeds, c[1:].reshape(-1)[:n]])
-    return c_full[k + 1:] ^ c_full[k:-1]
+    c = np.zeros((-(-n // (k + 1)) + 1, k + 1), dtype=np.uint8)
+    np.bitwise_xor.accumulate(v, out=c[0, 1:])
+    flat = c.reshape(-1)
+    np.bitwise_xor(x, np.uint8(offset), out=flat[k + 1:k + 1 + n])
+    np.bitwise_xor.accumulate(c, axis=0, out=c)
+    return flat[k + 1:k + 1 + n] ^ flat[k:k + n]
 
 
 def transform(x, v, variant: Variant = Variant.PLAIN) -> BitSequence:

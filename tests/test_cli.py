@@ -163,10 +163,14 @@ def test_whiten_with_config(tmp_path):
     assert code == 0 and len(out.strip()) == 64
 
 
-@pytest.mark.parametrize("flag", [["--pi", "0.2"], ["--seed", "4"], ["--os-entropy"],
-                                  ["--entropy-file", "bits.bin"]])
+_CONFIG_REFUSED_FLAGS = [["--pi", "0.2"], ["--seed", "4"], ["--os-entropy"],
+                         ["--entropy-file", "bits.bin"], ["--variant", "bar"]]
+
+
+@pytest.mark.parametrize("flag", _CONFIG_REFUSED_FLAGS)
 def test_whiten_config_refuses_ignored_flag(tmp_path, capsys, flag):
-    # the config fixes every component's pi and seed, so these would be ignored
+    # the config fixes every component's pi, seed and variant, so these
+    # would be ignored
     path = tmp_path / "mask.cfg"
     path.write_text(render_config(default_config(pi=0.2, seed=3, n=64)))
     code, out, _ = invoke(["whiten", "--config", str(path)] + flag, b"1" * 64)
@@ -349,6 +353,26 @@ def test_whiten_order_usage_errors_exit_2(capsys):
         code, out, _ = invoke(argv, b"0110")
         assert (code, out) == (2, b"")
         assert message in capsys.readouterr().err  # argparse prints usage errors
+
+
+class _UnreadStdin:
+    def read(self, *args):
+        pytest.fail("stdin was read before the usage checks")
+
+
+def test_whiten_usage_errors_never_read_stdin(tmp_path):
+    config = tmp_path / "mask.cfg"
+    config.write_text(render_config(default_config(pi=0.2, seed=3, n=64)))
+    cases = [(["--order", "5", "--seed", "4"], 2),
+             (["--order", "5", "--pi", "0.2"], 2),
+             (["--config", str(tmp_path / "missing.cfg")], 1),
+             (["--order", "5", "--pi", "0.2", "--entropy-file",
+               str(tmp_path / "missing.bin")], 1)]
+    cases += [(["--config", str(config)] + flag, 2) for flag in _CONFIG_REFUSED_FLAGS]
+    for argv, want in cases:
+        out, err = io.BytesIO(), io.StringIO()
+        code = run(["whiten"] + argv, stdin=_UnreadStdin(), stdout=out, stderr=err)
+        assert (code, out.getvalue()) == (want, b""), argv
 
 
 # sha256 of `analyze` stdout, text and --csv, computed before the block
