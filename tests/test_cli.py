@@ -465,3 +465,21 @@ def test_cli_start_up_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_gen_entropy_file_golden_digest_and_one_bit_short(tmp_path):
+    # order 9 and 1,000 draws take 9 + 53,000 bits; the file holds 7 more,
+    # then one fewer.  sha256 of stdout computed before the draws were
+    # compared as 64-bit words.
+    path = tmp_path / "entropy.bin"
+    packed = next_bits(CounterBitSource(77), 53016).to_packed()
+    argv = ["gen", "--order", "9", "--pi", "0.2", "--length", "1000", "--variant", "bar",
+            "--entropy-file", str(path), "--format", "hex"]
+    path.write_bytes(packed)
+    code, out, err = invoke(argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out).hexdigest() == (
+        "f33d5488ab03942703ad8fe28b276f9beba6668cb9f7733756710fd92e724850")
+    path.write_bytes(packed[:-1])
+    assert invoke(argv) == (
+        1, b"", "twofaced gen: requested 53000 bits but only 52999 remain\n")
