@@ -12,7 +12,9 @@ here restates a definition the production code implements another way:
   `generator.generate` in law, not bit for bit.
 * `window_counts` rebuilds the m-windows from the bits for each block
   length, where `stats` folds every length down from one histogram.
-* `ReplayRealSource` replays canned uniform draws.
+* `ReplayRealSource` replays canned uniform draws; its `at_least`
+  compares the floats, where `UniformRealSource.at_least` compares bit
+  fields.
 """
 from __future__ import annotations
 
@@ -112,3 +114,7 @@ class ReplayRealSource:
         out = np.array(self._values[self._pos:self._pos + n], dtype=np.float64)
         self._pos += n
         return out
+
+    def at_least(self, n: int, thresholds) -> list[np.ndarray]:
+        u = self.reals(n)
+        return [u >= t for t in thresholds]

@@ -119,6 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="coder register width in bits, in [16, 62] (default %(default)s)")
     _add_format(p)
 
+    for p in sub.choices.values():  # usage errors found later name the subcommand
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -169,9 +171,9 @@ def _cmd_combine(args, parser, stdin, stdout) -> int:
     else:
         if args.length is not None:
             parser.error("--length is not allowed with --xor-with")
-        seq = _read_input(stdin, args.format)
-        with open(args.xor_with, "rb") as fh:
-            out = seq ^ _read_input(fh, args.format)
+        with open(args.xor_with, "rb") as fh:  # before stdin, so a bad path fails at once
+            other = _read_input(fh, args.format)
+        out = _read_input(stdin, args.format) ^ other
     _write_output(stdout, out, args.format)
     return 0
 
@@ -195,6 +197,7 @@ def _cmd_whiten(args, parser, stdin, stdout) -> int:
 
 
 def _cmd_analyze(args, parser, stdin, stdout) -> int:
+    stats_mod.check_block_range(args.max_block, args.min_block)
     seq = _read_input(stdin, args.format)
     results = stats_mod.analyze(seq, args.max_block, args.min_block)
     if args.csv:
@@ -237,7 +240,7 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args, parser, stdin, stdout)
+        return _COMMANDS[args.command](args, args.parser, stdin, stdout)
     except SystemExit as exc:  # parser.error from semantic validation
         return int(exc.code or 0)
     except (ValueError, CapacityError, ConfigurationError, SourceExhaustedError,

@@ -2,7 +2,9 @@
 
 Sampling follows a fixed inverse-transform convention so that runs are
 bit-reproducible: at each step the generator draws a uniform real u and
-emits 0 iff u < P(0 | context).
+emits 0 iff u < P(0 | context).  It takes the compares u >= pi and
+u >= 1 - pi from `at_least`, which needs no floats, and from order 8 on
+it takes eight steps per table lookup.
 
 The exact operations treat the chain on 2^k context states explicitly:
 `propagate` advances a state distribution, `exact_block_distribution`
@@ -14,6 +16,7 @@ min(order+8, 24) bits.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -35,7 +38,8 @@ class GeneratorState:
 
     The window is stored as one integer, oldest bit most significant;
     `context_to_int` and `int_to_context` are its only conversions to and
-    from bit form.  Single-owner and sequential: the Markov dependence
+    from bit form (the byte-step sampler reads it packed, by `int.to_bytes`).
+    Single-owner and sequential: the Markov dependence
     forbids parallel emission within one stream.
     """
 
@@ -64,27 +68,86 @@ def init_fixed(kernel: KernelSpec, word) -> GeneratorState:
 
 def generate(state: GeneratorState, n: int, reals) -> BitSequence:
     """Emit n bits, advancing the state: the i-th is 0 iff the i-th draw
-    is below P(0 | the window at that step)."""
+    is below P(0 | the window at that step).  The draws come from the
+    `at_least` of `reals`, a `UniformRealSource`."""
     if n < 0:
         raise ValueError("length must be nonnegative")
     kernel = state.kernel
     k = kernel.order
-    u = reals.reals(n)
-    # Per-step decisions precomputed for both pi-letters; the pi-letter
-    # flips with the window parity as one bit enters and one leaves.
-    ge_pi = (u >= kernel.pi).tolist()
-    ge_q = (u >= 1.0 - kernel.pi).tolist()
-    buf = bytearray(state.context_bits())
+    # Per-step decisions for both pi-letters: the step emits ge_pi where
+    # the pi-letter is 0 and ge_q where it is 1, and the pi-letter flips
+    # with the window parity as one bit enters and one leaves.
+    ge_pi, ge_q = reals.at_least(n, (kernel.pi, 1.0 - kernel.pi))
     letter = pi_letter(kernel.variant, state.context)
-    append = buf.append
-    for i in range(n):
-        y = ge_q[i] if letter else ge_pi[i]
-        append(y)
-        letter ^= y ^ buf[i]
-    out = bytes(buf[k:])
-    state.context = context_to_int(buf[-k:])
+    if k >= 8:
+        out = _generate_bytes(state.context, k, letter, ge_pi, ge_q)
+    else:
+        ge_pi, ge_q = ge_pi.tolist(), ge_q.tolist()
+        buf = bytearray(state.context_bits())
+        append = buf.append
+        for i in range(n):
+            y = ge_q[i] if letter else ge_pi[i]
+            append(y)
+            letter ^= y ^ buf[i]
+        out = np.frombuffer(bytes(buf[k:]), dtype=np.uint8)
+    tail = out[max(n - k, 0):]
+    state.context = (state.context << tail.size | context_to_int(tail)) & ((1 << k) - 1)
     state.steps_emitted += n
-    return BitSequence._wrap(np.frombuffer(out, dtype=np.uint8))
+    return BitSequence._wrap(out)
+
+
+@functools.cache
+def _byte_steps() -> tuple[bytes, list[int]]:
+    """Tables that take eight sampler steps at once.
+
+    With g = [u >= pi], d = g ^ [u >= 1 - pi] and c = g ^ (the bit leaving
+    the window), a step emits g ^ (letter & d) and moves the pi-letter to
+    (letter & ~d) ^ c.  Indexed by letter << 16 | d-byte << 8 | c-byte,
+    first step in the high bits, they give the eight steps' letter & d as
+    a byte and the final letter << 16.  Built on first use: 2^17 entries.
+    """
+    index = np.arange(1 << 17)
+    letter, d, c = ((index >> shift & 255).astype(np.uint8) for shift in (16, 8, 0))
+    masked = np.zeros_like(c)
+    for step in range(7, -1, -1):
+        d_i = d >> step & 1
+        masked |= (letter & d_i) << step
+        letter = letter & (d_i ^ 1) ^ c >> step & 1
+    # The final letters as two shared int objects, ready to OR into an index.
+    return masked.tobytes(), np.array([0, 1 << 16], dtype=object)[letter].tolist()
+
+
+def _generate_bytes(context: int, k: int, letter: int, ge_pi, ge_q) -> np.ndarray:
+    """`generate`'s steps a byte at a time, for orders of at least 8: all
+    eight bits leaving the window during one output byte are known before it.
+
+    The history (window, then outputs) is packed behind (-k) mod 8 zero
+    bits, so the outputs are byte-aligned and the bits leaving during
+    output byte b are history bits 8b + pad onwards.
+    """
+    masked, final = _byte_steps()
+    pad = -k % 8
+    g = np.packbits(ge_pi)
+    dg = memoryview(np.packbits(ge_pi ^ ge_q).astype(np.uint16) << 8 | g)
+    history = bytearray(context.to_bytes((k + pad) // 8, "big"))
+    start = len(history)
+    emit = history.append
+    letter <<= 16
+    # The history is read while it grows: its iterators trail the appends
+    # by the (k + pad) / 8 bytes of the padded window.
+    if pad:
+        ahead = iter(history)
+        next(ahead)
+        for g_b, dg_b, h0, h1 in zip(g.tobytes(), dg, history, ahead):
+            i = letter | dg_b ^ ((h0 << 8 | h1) >> (8 - pad) & 255)
+            emit(g_b ^ masked[i])
+            letter = final[i]
+    else:
+        for g_b, dg_b, h0 in zip(g.tobytes(), dg, history):
+            i = letter | dg_b ^ h0
+            emit(g_b ^ masked[i])
+            letter = final[i]
+    return np.unpackbits(np.frombuffer(history, np.uint8, offset=start), count=ge_pi.size)
 
 
 def _check_order_cap(order: int) -> None:

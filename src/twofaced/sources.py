@@ -6,7 +6,9 @@ Two source contracts are used throughout the package:
 * ``UniformRealSource`` yields uniform reals in [0, 1) with 53 bits of
   resolution, derived from a BitSource by a fixed construction: each
   draw consumes exactly 53 bits, first bit most significant, and the
-  value is ``mantissa / 2**53``.
+  value is ``mantissa / 2**53``.  Its ``at_least`` compares the draws
+  with thresholds straight from the source's 64-bit words, without
+  making floats; it agrees with ``reals(n) >= t`` exactly.
 
 The deterministic implementation is counter-mode splitmix64: block i of
 the stream is ``mix64(seed + (i + 1) * 0x9E3779B97F4A7C15)`` and the 64
@@ -15,6 +17,7 @@ same stream, on every platform; golden vectors are pinned in the tests.
 """
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -26,6 +29,10 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_MASK53 = np.uint64((1 << 53) - 1)
+# Long reads run in passes, to bound the temporaries.
+_PASS_WORDS = 1 << 16
+_PASS_GROUPS = 1 << 9  # groups of 64 draws
 
 
 def _finalize(z: np.ndarray) -> np.ndarray:
@@ -42,10 +49,18 @@ def mix64(z: int) -> int:
 
 
 class BitSource:
-    """Contract: ``bits(n)`` returns the next n stream bits as uint8."""
+    """Contract: ``bits(n)`` returns the next n stream bits as uint8.
+
+    ``words(n)`` returns the same n bits packed little-endian into
+    ceil(n / 64) uint64 words, any bits past the n-th reading 0.
+    """
 
     def bits(self, n: int) -> np.ndarray:
         raise NotImplementedError
+
+    def words(self, n: int) -> np.ndarray:
+        packed = np.packbits(self.bits(n), bitorder="little")
+        return np.concatenate([packed, np.zeros(-packed.size % 8, np.uint8)]).view("<u8")
 
 
 class CounterBitSource(BitSource):
@@ -58,16 +73,29 @@ class CounterBitSource(BitSource):
         self._pos = 0  # absolute bit position
 
     def bits(self, n: int) -> np.ndarray:
+        raw = self.words(n).astype("<u8", copy=False).view(np.uint8)
+        return np.unpackbits(raw, count=n, bitorder="little")
+
+    def words(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError("bit count must be nonnegative")
-        first = self._pos >> 6
-        last = (self._pos + n - 1) >> 6
-        ctr = np.arange(first, last + 1, dtype=np.uint64)
-        z = _finalize(np.uint64(self.seed) + (ctr + np.uint64(1)) * np.uint64(_GAMMA))
-        block_bits = np.unpackbits(z.astype("<u8").view(np.uint8), bitorder="little")
-        start = self._pos - (first << 6)
+        first, start = divmod(self._pos, 64)
+        out = np.empty(-(-n // 64), dtype=np.uint64)
+        # Each pass makes one block more than it keeps: a word that starts
+        # `start` bits into block i ends in block i + 1.
+        for a in range(0, out.size, _PASS_WORDS):
+            count = min(_PASS_WORDS, out.size - a)
+            ctr = np.arange(first + a + 1, first + a + count + 2, dtype=np.uint64)
+            z = _finalize(np.uint64(self.seed) + ctr * np.uint64(_GAMMA))
+            if start:
+                high = z[1:] << np.uint64(64 - start)
+                z >>= np.uint64(start)
+                z[:-1] |= high
+            out[a:a + count] = z[:-1]
+        if n % 64:
+            out[-1] &= np.uint64((1 << n % 64) - 1)
         self._pos += n
-        return block_bits[start:start + n]
+        return out
 
 
 class OSBitSource(BitSource):
@@ -131,6 +159,49 @@ class UniformRealSource:
         rows[:, 1:] = np.packbits(self.source.bits(53 * n).reshape(n, 53), axis=1)
         mantissa = rows.view(">u8").ravel() >> np.uint64(3)
         return mantissa.astype(np.float64) * 2.0 ** -53
+
+    def at_least(self, n: int, thresholds) -> list[np.ndarray]:
+        """``reals(n) >= t`` for each threshold t in (0, 1], from one read of
+        the same 53n bits.
+
+        53 words hold exactly 64 draws, so draw r of each group of 64 is
+        the 53-bit field f at word 53r >> 6, bit 53r & 63.  The field holds
+        the mantissa's bits in reverse, first (most significant) lowest.
+        With T = ceil(t * 2^53) - 1 and x = f ^ rev53(T), u >= t means
+        mantissa > T: the highest mantissa bit where they differ is x's
+        lowest set bit, and the draw is above T iff f has a 1 there.
+        """
+        if n < 0:
+            raise ValueError("draw count must be nonnegative")
+        if not all(0.0 < t <= 1.0 for t in thresholds):
+            raise ValueError(f"thresholds must lie in (0, 1], got {thresholds!r}")
+        words = self.source.words(53 * n)
+        marks = [np.uint64(int(f"{math.ceil(t * 2.0 ** 53) - 1:053b}"[::-1], 2))
+                 for t in thresholds]
+        # A field may run on into the next word, so every column ORs in
+        # that word shifted up by 64 - bit.  Where the field fits in its own
+        # word, those bits land at 53 or above (a shift of 64 gives 0) and
+        # the mask drops them; the last column's next word is clamped.
+        first = 53 * np.arange(64)
+        word, bit = first >> 6, (first & 63).astype(np.uint64)
+        after, rise = np.minimum(word + 1, 52), np.uint64(64) - bit
+        groups = -(-n // 64)
+        out = np.empty((len(marks), groups, 64), dtype=bool)
+        for a in range(0, groups, _PASS_GROUPS):
+            b = min(a + _PASS_GROUPS, groups)
+            rows = words[53 * a:53 * b]
+            if rows.size < 53 * (b - a):  # the last group is partial
+                rows = np.concatenate([rows, np.zeros(53 * (b - a) - rows.size, np.uint64)])
+            rows = rows.reshape(b - a, 53)
+            f = rows[:, word] >> bit
+            f |= rows[:, after] << rise
+            f &= _MASK53
+            for mark, decided in zip(marks, out):
+                x = f ^ mark
+                x &= -x
+                x &= f
+                np.not_equal(x, 0, out=decided[a:b])
+        return [decided.ravel()[:n] for decided in out]
 
 
 def next_bits(source: BitSource, n: int) -> BitSequence:

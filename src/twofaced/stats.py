@@ -221,6 +221,15 @@ def chi_square_pvalue(statistic: float, df: int) -> float:
     return _gammaincc(df / 2.0, statistic / 2.0)
 
 
+def check_block_range(max_block: int, min_block: int = 1) -> None:
+    """The checks of `analyze` that need no input: 1 <= min <= max, and the
+    first length over BLOCK_LEN_CAP, if any."""
+    if min_block < 1 or max_block < min_block:
+        raise ValueError("block range must satisfy 1 <= min <= max")
+    if max_block > BLOCK_LEN_CAP:
+        _check_block_len("block length", max(min_block, BLOCK_LEN_CAP + 1), max_block)
+
+
 def analyze(seq, max_block: int, min_block: int = 1) -> list[BlockStats]:
     """Block statistics for every length in [min_block, max_block]."""
     if min_block < 1 or max_block < min_block:

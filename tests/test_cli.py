@@ -375,6 +375,36 @@ def test_whiten_usage_errors_never_read_stdin(tmp_path):
         assert (code, out.getvalue()) == (want, b""), argv
 
 
+def test_analyze_and_combine_fail_before_reading_stdin(tmp_path):
+    missing = tmp_path / "missing.bin"
+    for argv, message in (
+            (["analyze", "--max-block", "30"], "block length 25 exceeds table cap 24"),
+            (["analyze", "--max-block", "30", "--min-block", "26"],
+             "block length 26 exceeds table cap 24"),
+            (["analyze", "--max-block", "0"], "block range must satisfy 1 <= min <= max"),
+            (["analyze", "--max-block", "3", "--min-block", "4"],
+             "block range must satisfy 1 <= min <= max"),
+            (["combine", "--xor-with", str(missing)],
+             f"[Errno 2] No such file or directory: {str(missing)!r}")):
+        out, err = io.BytesIO(), io.StringIO()
+        code = run(argv, stdin=_UnreadStdin(), stdout=out, stderr=err)
+        assert (code, out.getvalue()) == (1, b""), argv
+        assert err.getvalue() == f"twofaced {argv[0]}: {message}\n"
+
+
+def test_usage_errors_after_parsing_print_the_subcommand_usage(capsys):
+    for argv, message in (
+            (["whiten", "--order", "5", "--seed", "4"], "--pi is required with --order"),
+            (["gen", "--order", "4", "--pi", "0.5", "--length", "10"],
+             "an entropy flag is required: --seed, --os-entropy, or --entropy-file"),
+            (["combine", "--config", "ladder.cfg"], "--length is required with --config")):
+        code, out, _ = invoke(argv, b"0110")
+        err = capsys.readouterr().err
+        assert (code, out) == (2, b"")
+        assert err.startswith(f"usage: twofaced {argv[0]} [-h] ")
+        assert err.endswith(f"twofaced {argv[0]}: error: {message}\n")
+
+
 # sha256 of `analyze` stdout, text and --csv, computed before the block
 # statistics were counted from one histogram.
 _ANALYZE_DIGESTS = {
@@ -404,9 +434,12 @@ def test_analyze_golden_digests():
 
 
 def test_analyze_bad_block_length_is_one_line_runtime_error():
+    # The range and the cap are checked before the input, so the cap wins
+    # over the input length.
     stream = b"0110" * 5
     for argv, message in (
-            (["--max-block", "25"], "block length 21 exceeds sequence length 20"),
+            (["--max-block", "21"], "block length 21 exceeds sequence length 20"),
+            (["--max-block", "25"], "block length 25 exceeds table cap 24"),
             (["--max-block", "25", "--min-block", "25"],
              "block length 25 exceeds table cap 24")):
         with warnings.catch_warnings():  # low expected counts below the bad length
@@ -483,3 +516,32 @@ def test_gen_entropy_file_golden_digest_and_one_bit_short(tmp_path):
     path.write_bytes(packed[:-1])
     assert invoke(argv) == (
         1, b"", "twofaced gen: requested 53000 bits but only 52999 remain\n")
+
+
+_NO_TABLES_PROBE = """
+import io
+import twofaced.cli
+from twofaced.generator import _byte_steps
+
+def built():
+    return _byte_steps.cache_info().currsize
+
+assert built() == 0
+for argv, stdin in ((["analyze", "--max-block", "4"], b"0110100110010110" * 64),
+                    (["expand", "--seed-hex", "d5ec8ef8", "--order", "8", "--length", "99"],
+                     b"")):
+    assert twofaced.cli.run(argv, io.BytesIO(stdin), io.BytesIO(), io.StringIO()) == 0
+assert built() == 0
+twofaced.cli.run(["gen", "--order", "8", "--pi", "0.2", "--length", "9", "--seed", "1"],
+                 io.BytesIO(), io.BytesIO(), io.StringIO())
+assert built() == 1  # the probe sees a build
+"""
+
+
+def test_cli_start_up_builds_no_sampler_tables():
+    # the 2^17-entry tables cost start-up time, so only sampling builds them
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _NO_TABLES_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -143,3 +143,62 @@ def test_uniform_reals_from_replayed_bits_equal_weighted_sum():
     got = UniformRealSource(ReplayBitSource(bits)).reals(100)
     assert np.array_equal(got, _weighted_sum_reals(bits, 100))
     assert got[0] == 1.0 - 2.0 ** -53 and got[1] == 0.0
+
+
+_THRESHOLDS = (0.2, 0.77, 1e-9, 0.5, 1 - 1e-12, 1 / 3)
+_THRESHOLDS += tuple(1 - t for t in _THRESHOLDS)
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 100003])
+@pytest.mark.parametrize("seed", [9, 1512, _M64])
+def test_at_least_equals_compared_reals(seed, n):
+    # every start offset within a word, set by a prior read of skip bits
+    for skip in range(64):
+        src, ref = CounterBitSource(seed), CounterBitSource(seed)
+        src.bits(skip), ref.bits(skip)
+        got = UniformRealSource(src).at_least(n, _THRESHOLDS)
+        u = UniformRealSource(ref).reals(n)
+        for t, decided in zip(_THRESHOLDS, got):
+            assert decided.dtype == bool and np.array_equal(decided, u >= t), (skip, t)
+        assert np.array_equal(src.bits(64), ref.bits(64))  # advanced by 53n
+
+
+def test_at_least_from_replayed_bits_and_exhaustion():
+    bits = CounterBitSource(5).bits(53 * 1000 + 7)
+    for skip in (0, 7):
+        src = ReplayBitSource(bits)
+        src.bits(skip)
+        got = UniformRealSource(src).at_least(1000, _THRESHOLDS)
+        u = UniformRealSource(ReplayBitSource(bits[skip:])).reals(1000)
+        assert all(np.array_equal(d, u >= t) for t, d in zip(_THRESHOLDS, got))
+        assert src.remaining == 7 - skip
+    src = ReplayBitSource(bits[:53 * 100 - 1])
+    with pytest.raises(SourceExhaustedError, match="requested 5300 bits but only 5299"):
+        UniformRealSource(src).at_least(100, (0.5,))
+    assert src.remaining == 5299  # nothing consumed
+
+
+def test_at_least_threshold_edges():
+    draws = UniformRealSource(ReplayBitSource([1] * 53 + [0] * 53))
+    assert [d.tolist() for d in draws.at_least(2, (1.0, 1 - 2.0 ** -53, 2.0 ** -60))] == [
+        [False, False], [True, False], [True, False]]
+    for bad in ((0.0,), (-0.1,), (1.5,), (0.5, float("nan"))):
+        with pytest.raises(ValueError):
+            UniformRealSource.from_seed(1).at_least(3, bad)
+
+
+def test_replay_real_source_at_least():
+    src = ReplayRealSource([0.1, 0.2, 0.9])
+    low, high = src.at_least(3, (0.2, 0.8))
+    assert low.tolist() == [False, True, True] and high.tolist() == [False, False, True]
+
+
+@given(st.integers(0, _M64), st.integers(0, 200), st.integers(0, 300))
+def test_counter_words_equal_packed_bits(seed, skip, n):
+    src, ref = CounterBitSource(seed), CounterBitSource(seed)
+    src.bits(skip)
+    words = src.words(n)
+    bits = ref.bits(skip + n)[skip:]
+    assert words.dtype == np.uint64 and words.size == -(-n // 64)
+    assert np.array_equal(words, ReplayBitSource(bits).words(n))
+    assert np.array_equal(src.bits(9), ref.bits(9))
