@@ -128,6 +128,7 @@ def _generate_bytes(context: int, k: int, letter: int, ge_pi, ge_q) -> np.ndarra
     masked, final = _byte_steps()
     pad = -k % 8
     g = np.packbits(ge_pi)
+    # d-byte << 8 | g-byte: XORing the leaving byte in makes the index.
     dg = memoryview(np.packbits(ge_pi ^ ge_q).astype(np.uint16) << 8 | g)
     history = bytearray(context.to_bytes((k + pad) // 8, "big"))
     start = len(history)
