@@ -367,10 +367,16 @@ def test_zero_length_draws_leave_source_and_state_alone():
 # order over both variants and pi 0.2, 0.77 and 0.5, each 100,000 bits from
 # a uniform start at seed 9 followed by the final window.  Computed before
 # the draws were compared as splitmix64 words and the sampler stepped a
-# byte at a time.
+# byte at a time; orders 2 to 6, before every order stepped min(order, 8)
+# bits per table lookup.
 _CHUNKS = (1, 65535, 7, 34457)
 _ORDER_DIGESTS = {
     1: "fc00882554740ab3e0e9cc94932adfe3f7c72bd8565b0b96c29b1a4baeb27d81",
+    2: "ded8d9299c316bd6682ab92c8e5ec7935d131a4bf5c8ddbcdb9d11eb7a66d7fd",
+    3: "2c5cb5fb20ff12f866f627535a3cc44b75316487bb51cd0aece877467ccc77be",
+    4: "f4729a308abdfc719732c505a6e537f1f5c4131a8ffe3ee3f8f53f9a2a72a3ea",
+    5: "9081ee21da4b5dd6eca287c20abf7096d2780d3ead210ed4b6f108d69cd84211",
+    6: "7a65765e4f3d584d8d48b9a15b06bab88f52283a189fbe9661665ebb90023b26",
     7: "da0bfe9157639e549efca7017dfb4e09bab3a1dfa8f59f784012de41ac9c627f",
     8: "69c565049ba7f008cdc0e25024f5bf18c735499e25a510484a6c3f75579a587d",
     9: "c84e4958494c80e8cbbc47b3d2d5d1a93c4c70733d5d4b9695aed9c9d3a2ee13",
@@ -388,7 +394,7 @@ def _pinned_run(variant, order, pi, chunks):
     return np.concatenate(pieces), state.context, src.bits(64)
 
 
-@pytest.mark.parametrize("order", [1, 7, 8, 9, 13, 256, 1000, 4096])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 256, 1000, 4096])
 def test_generate_golden_digests_by_order(order):
     h = hashlib.sha256()
     for variant in Variant:
