@@ -88,11 +88,13 @@ def test_generate_deterministic_and_reproducible():
     assert run() == run()
 
 
-def test_generate_matches_repeated_next_bit():
+@pytest.mark.parametrize("order", [1, 2, 5, 8, 9])
+def test_generate_matches_repeated_next_bit(order):
     # generate against a per-step loop on the same draws: emit 0 iff the
-    # draw is below P(0 | window) from the kernel's literal recursion
+    # draw is below P(0 | window) from the kernel's literal recursion, at
+    # orders below 8 and at 8 and 9, a window aligned to bytes and one not.
     for variant in Variant:
-        spec = _kernel(5, 0.2, variant)
+        spec = _kernel(order, 0.2, variant)
         src_a = CounterBitSource(3)
         state_a = init_uniform(spec, src_a)
         whole = generate(state_a, 400, UniformRealSource(src_a))
@@ -101,11 +103,11 @@ def test_generate_matches_repeated_next_bit():
         window = list(init_uniform(spec, src_b).context_bits())
         single = []
         for u in UniformRealSource(src_b).reals(400):
-            bit = 0 if u < cond_prob_recursive(spec, 0, window[-5:]) else 1
+            bit = 0 if u < cond_prob_recursive(spec, 0, window[-order:]) else 1
             single.append(bit)
             window.append(bit)
         assert list(whole) == single
-        assert state_a.context_bits() == tuple(window[-5:])
+        assert state_a.context_bits() == tuple(window[-order:])
         assert state_a.steps_emitted == 400
 
 
