@@ -154,6 +154,8 @@ def _cmd_gen(args, parser, stdin, stdout) -> int:
 
 def _cmd_transform(args, parser, stdin, stdout) -> int:
     v = BitSequence.from_ascii01(args.init)
+    if not len(v):  # before stdin, as transform would find it only at EOF
+        raise ValueError("initial word must contain at least one bit")
     if args.order is not None and args.order != len(v):
         parser.error(f"--init length {len(v)} does not match --order {args.order}")
     seq = _read_input(stdin, args.format)
@@ -198,6 +200,8 @@ def _cmd_whiten(args, parser, stdin, stdout) -> int:
 
 def _cmd_analyze(args, parser, stdin, stdout) -> int:
     stats_mod.check_block_range(args.max_block, args.min_block)
+    if not 0.0 <= args.alpha <= 1.0:  # NaN fails too
+        parser.error(f"--alpha must lie in [0, 1], got {args.alpha}")
     seq = _read_input(stdin, args.format)
     results = stats_mod.analyze(seq, args.max_block, args.min_block)
     if args.csv:

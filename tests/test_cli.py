@@ -385,11 +385,24 @@ def test_analyze_and_combine_fail_before_reading_stdin(tmp_path):
             (["analyze", "--max-block", "3", "--min-block", "4"],
              "block range must satisfy 1 <= min <= max"),
             (["combine", "--xor-with", str(missing)],
-             f"[Errno 2] No such file or directory: {str(missing)!r}")):
+             f"[Errno 2] No such file or directory: {str(missing)!r}"),
+            (["transform", "--init", ""], "initial word must contain at least one bit")):
         out, err = io.BytesIO(), io.StringIO()
         code = run(argv, stdin=_UnreadStdin(), stdout=out, stderr=err)
         assert (code, out.getvalue()) == (1, b""), argv
         assert err.getvalue() == f"twofaced {argv[0]}: {message}\n"
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-0.1", "1.5"])
+def test_analyze_refuses_alpha_outside_unit_interval(alpha, capsys):
+    # a verdict against such an alpha means nothing, so it is a usage error
+    code = run(["analyze", "--max-block", "2", "--alpha", alpha], stdin=_UnreadStdin(),
+               stdout=io.BytesIO(), stderr=io.StringIO())
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("usage: twofaced analyze [-h] ")
+    assert err.endswith(f"twofaced analyze: error: --alpha must lie in [0, 1], "
+                        f"got {float(alpha)}\n")
 
 
 def test_usage_errors_after_parsing_print_the_subcommand_usage(capsys):
