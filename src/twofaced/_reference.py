@@ -80,10 +80,9 @@ def generate_by_conversion(state: GeneratorState, n: int, reals) -> BitSequence:
         raise ValueError("length must be nonnegative")
     kernel = state.kernel
     u = reals.reals(n)
-    window = TransformState(kernel.order, state.context, 0, kernel.variant)
+    window = TransformState(kernel.order, state.context, kernel.variant)
     y = transform_chunk(window, (u >= kernel.pi).astype(np.uint8))
     state.context = window.context
-    state.steps_emitted += n
     return y
 
 

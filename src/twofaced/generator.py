@@ -3,8 +3,9 @@
 Sampling follows a fixed inverse-transform convention so that runs are
 bit-reproducible: at each step the generator draws a uniform real u and
 emits 0 iff u < P(0 | context).  It takes the compares u >= pi and
-u >= 1 - pi from `at_least`, which needs no floats, and from order 8 on
-it takes eight steps per table lookup.
+u >= 1 - pi from `at_least`, which needs no floats, and takes
+min(order, 8) steps per table lookup: the bits that leave the window
+during that many steps are all known before them.
 
 The exact operations treat the chain on 2^k context states explicitly:
 `propagate` advances a state distribution, `exact_block_distribution`
@@ -38,14 +39,13 @@ class GeneratorState:
 
     The window is stored as one integer, oldest bit most significant;
     `context_to_int` and `int_to_context` are its only conversions to and
-    from bit form (the byte-step sampler reads it packed, by `int.to_bytes`).
+    from bit form (the table stepper reads it packed, by `int.to_bytes`).
     Single-owner and sequential: the Markov dependence
     forbids parallel emission within one stream.
     """
 
     kernel: KernelSpec
     context: int
-    steps_emitted: int = 0
 
     def context_bits(self) -> tuple[int, ...]:
         return int_to_context(self.context, self.kernel.order)
@@ -73,69 +73,66 @@ def generate(state: GeneratorState, n: int, reals) -> BitSequence:
     if n < 0:
         raise ValueError("length must be nonnegative")
     kernel = state.kernel
-    k = kernel.order
     # Per-step decisions for both pi-letters: the step emits ge_pi where
     # the pi-letter is 0 and ge_q where it is 1, and the pi-letter flips
     # with the window parity as one bit enters and one leaves.
     ge_pi, ge_q = reals.at_least(n, (kernel.pi, 1.0 - kernel.pi))
-    letter = pi_letter(kernel.variant, state.context)
-    if k >= 8:
-        out = _generate_bytes(state.context, k, letter, ge_pi, ge_q)
-    else:
-        ge_pi, ge_q = ge_pi.tolist(), ge_q.tolist()
-        buf = bytearray(state.context_bits())
-        append = buf.append
-        for i in range(n):
-            y = ge_q[i] if letter else ge_pi[i]
-            append(y)
-            letter ^= y ^ buf[i]
-        out = np.frombuffer(bytes(buf[k:]), dtype=np.uint8)
-    tail = out[max(n - k, 0):]
-    state.context = (state.context << tail.size | context_to_int(tail)) & ((1 << k) - 1)
-    state.steps_emitted += n
-    return BitSequence._wrap(out)
+    return BitSequence._wrap(_generate_steps(state, ge_pi, ge_q))
 
 
 @functools.cache
-def _byte_steps() -> tuple[bytes, list[int]]:
-    """Tables that take eight sampler steps at once.
+def _byte_steps(s: int) -> tuple[bytes, list[int]]:
+    """Tables that take s <= 8 sampler steps at once.
 
     With g = [u >= pi], d = g ^ [u >= 1 - pi] and c = g ^ (the bit leaving
     the window), a step emits g ^ (letter & d) and moves the pi-letter to
-    (letter & ~d) ^ c.  Indexed by letter << 16 | d-byte << 8 | c-byte,
-    first step in the high bits, they give the eight steps' letter & d as
-    a byte and the final letter << 16.  Built on first use: 2^17 entries.
+    (letter & ~d) ^ c.  Indexed by letter << 2s | d << s | c, with d and c
+    s-bit chunks, first step high, they give the s steps' letter & d as a
+    chunk and the final letter << 2s.  Built on first use: 2^(2s+1) entries.
     """
-    index = np.arange(1 << 17)
-    letter, d, c = ((index >> shift & 255).astype(np.uint8) for shift in (16, 8, 0))
+    index = np.arange(1 << 2 * s + 1)
+    letter, d, c = ((index >> shift & (1 << s) - 1).astype(np.uint8)
+                    for shift in (2 * s, s, 0))
     masked = np.zeros_like(c)
-    for step in range(7, -1, -1):
+    for step in range(s - 1, -1, -1):
         d_i = d >> step & 1
         masked |= (letter & d_i) << step
         letter = letter & (d_i ^ 1) ^ c >> step & 1
     # The final letters as two shared int objects, ready to OR into an index.
-    return masked.tobytes(), np.array([0, 1 << 16], dtype=object)[letter].tolist()
+    return masked.tobytes(), np.array([0, 1 << 2 * s], dtype=object)[letter].tolist()
 
 
-def _generate_bytes(context: int, k: int, letter: int, ge_pi, ge_q) -> np.ndarray:
-    """`generate`'s steps a byte at a time, for orders of at least 8: all
-    eight bits leaving the window during one output byte are known before it.
+def _chunks(bits: np.ndarray, s: int) -> np.ndarray:
+    """The bits in s-bit chunks, one per byte, first bit high, zero-padded."""
+    padded = np.zeros(-(-bits.size // s) * s, dtype=np.uint8)
+    padded[:bits.size] = bits
+    rows = np.zeros((padded.size // s, 8), dtype=np.uint8)
+    rows[:, 8 - s:] = padded.reshape(-1, s)
+    return np.packbits(rows)
 
-    The history (window, then outputs) is packed behind (-k) mod 8 zero
-    bits, so the outputs are byte-aligned and the bits leaving during
-    output byte b are history bits 8b + pad onwards.
+
+def _generate_steps(state: GeneratorState, ge_pi, ge_q) -> np.ndarray:
+    """`generate`'s steps on `state`, s = min(k, 8) per table lookup: the
+    s bits that leave the window during s outputs are known before them.
+
+    The history (window, then outputs) is held in s-bit chunks, one per
+    byte, the window behind pad = (-k) mod s zero bits, so the bits leaving
+    during output chunk b are history bits sb + pad onwards.  pad is 0
+    below order 8, where the window is one chunk, and at multiples of 8;
+    otherwise s = 8 and the leaving chunk straddles two history bytes.
     """
-    masked, final = _byte_steps()
-    pad = -k % 8
-    g = np.packbits(ge_pi)
-    # d-byte << 8 | g-byte: XORing the leaving byte in makes the index.
-    dg = memoryview(np.packbits(ge_pi ^ ge_q).astype(np.uint16) << 8 | g)
-    history = bytearray(context.to_bytes((k + pad) // 8, "big"))
+    k = state.kernel.order
+    s = min(k, 8)
+    masked, final = _byte_steps(s)
+    pad = -k % s
+    g = _chunks(ge_pi, s)
+    # d << s | g: XORing the leaving chunk in makes the index.
+    dg = memoryview(_chunks(ge_pi ^ ge_q, s).astype(np.uint16) << s | g)
+    history = bytearray(state.context.to_bytes(-(-k // 8), "big"))
     start = len(history)
     emit = history.append
-    letter <<= 16
-    # The history is read while it grows: its iterators trail the appends
-    # by the (k + pad) / 8 bytes of the padded window.
+    letter = pi_letter(state.kernel.variant, state.context) << 2 * s
+    # The history is read while it grows, a padded window behind the appends.
     if pad:
         ahead = iter(history)
         next(ahead)
@@ -148,7 +145,11 @@ def _generate_bytes(context: int, k: int, letter: int, ge_pi, ge_q) -> np.ndarra
             i = letter | dg_b ^ h0
             emit(g_b ^ masked[i])
             letter = final[i]
-    return np.unpackbits(np.frombuffer(history, np.uint8, offset=start), count=ge_pi.size)
+    out = np.unpackbits(np.frombuffer(history, np.uint8, offset=start))
+    out = out.reshape(-1, 8)[:, 8 - s:].reshape(-1)[:ge_pi.size]
+    tail = out[max(out.size - k, 0):]
+    state.context = (state.context << tail.size | context_to_int(tail)) & ((1 << k) - 1)
+    return out
 
 
 def _check_order_cap(order: int) -> None:

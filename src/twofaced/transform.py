@@ -72,7 +72,6 @@ class TransformState:
 
     order: int
     context: int
-    consumed: int = 0
     variant: Variant = Variant.PLAIN
 
     @classmethod
@@ -80,16 +79,12 @@ class TransformState:
         vb = as_bit_array(v)
         if vb.size < 1:
             raise ValueError("initial word must contain at least one bit")
-        return cls(vb.size, context_to_int(vb), 0, variant)
+        return cls(vb.size, context_to_int(vb), variant)
 
 
 def transform_chunk(state: TransformState, x) -> BitSequence:
     """Convert one chunk, carrying the output window across calls."""
     v = np.array(int_to_context(state.context, state.order), dtype=np.uint8)
     y = transform(x, v, state.variant)
-    n = len(y)
-    if n:
-        tail = np.concatenate([v, y.array])[-state.order:]
-        state.context = context_to_int(tail)
-    state.consumed += n
+    state.context = context_to_int(np.concatenate([v, y.array])[-state.order:])
     return y

@@ -69,7 +69,6 @@ def test_next_bit_inverse_transform_rule():
     state = init_fixed(_kernel(2, 0.2), "01")
     assert list(generate(state, 1, ReplayRealSource([0.9]))) == [1]
     assert state.context_bits() == (1, 1)
-    assert state.steps_emitted == 1
 
 
 def test_generate_empty_and_negative():
@@ -108,7 +107,6 @@ def test_generate_matches_repeated_next_bit(order):
             window.append(bit)
         assert list(whole) == single
         assert state_a.context_bits() == tuple(window[-order:])
-        assert state_a.steps_emitted == 400
 
 
 # sha256 of generate's packed output (5,000 bits from a uniform start at
@@ -241,7 +239,6 @@ def test_sampling_routes_agree_in_law():
         src = CounterBitSource(seed)
         state = init_uniform(kern, src)
         seq = sampler(state, n, UniformRealSource(src))
-        assert state.steps_emitted == n
         freqs[label] = block_frequencies(seq, 4)
     exact = exact_block_distribution(kern, StateDistribution.uniform(3), 0, 4)
     for stats in freqs.values():
@@ -360,7 +357,7 @@ def test_zero_length_draws_leave_source_and_state_alone():
     context = state.context
     out = generate(state, 0, UniformRealSource(src))
     assert len(out) == 0 and out.array.dtype == np.uint8
-    assert (state.context, state.steps_emitted) == (context, 0)
+    assert state.context == context
     fresh.bits(3)
     assert np.array_equal(src.bits(100), fresh.bits(100))
 
