@@ -104,10 +104,10 @@ def _byte_steps(s: int) -> tuple[bytes, list[int]]:
 
 def _chunks(bits: np.ndarray, s: int) -> np.ndarray:
     """The bits in s-bit chunks, one per byte, first bit high, zero-padded."""
-    padded = np.zeros(-(-bits.size // s) * s, dtype=np.uint8)
-    padded[:bits.size] = bits
-    rows = np.zeros((padded.size // s, 8), dtype=np.uint8)
-    rows[:, 8 - s:] = padded.reshape(-1, s)
+    rows = np.zeros((-(-bits.size // s), 8), dtype=np.uint8)
+    whole = bits.size // s
+    rows[:whole, 8 - s:] = bits[:whole * s].reshape(-1, s)
+    rows[whole:, 8 - s:8 - s + bits.size % s] = bits[whole * s:]
     return np.packbits(rows)
 
 
