@@ -16,15 +16,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import combine as combine_mod
-from . import stats as stats_mod
+# Each start compiles only what its command runs: stats, combine and sources
+# are imported inside the commands that use them.  The names below stay
+# module globals, looked up here at call time (bench/tracer.py wraps them).
 from .bitseq import FORMATS, BitSequence, decode_stream, encode_stream
 from .errors import CapacityError, ConfigurationError, SourceExhaustedError
 from .expander import DEFAULT_PRECISION, ExpanderConfig, expand
 from .generator import generate, init_fixed, init_uniform
 from .kernels import KernelSpec, Variant
-from .sources import (CounterBitSource, FileBitSource, OSBitSource,
-                      UniformRealSource)
 from .transform import inverse_transform, transform
 
 
@@ -44,6 +43,7 @@ def _add_entropy_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _entropy_source(args, parser: argparse.ArgumentParser):
+    from .sources import CounterBitSource, FileBitSource, OSBitSource
     if args.seed is not None:
         return CounterBitSource(args.seed)
     if args.os_entropy:
@@ -137,6 +137,7 @@ def _write_output(stdout, seq: BitSequence, fmt: str) -> None:
 def _kernel_stream(args, parser, init=None):
     """Check the kernel flags, open the entropy source and draw the initial
     window; return the step that samples the next n bits."""
+    from .sources import UniformRealSource
     kernel = KernelSpec(Variant(args.variant or "plain"), args.order, args.pi)
     source = _entropy_source(args, parser)
     if init is not None:
@@ -168,6 +169,7 @@ def _cmd_combine(args, parser, stdin, stdout) -> int:
     if args.config is not None:
         if args.length is None:
             parser.error("--length is required with --config")
+        from . import combine as combine_mod
         config = combine_mod.load_config(args.config)
         out = combine_mod.twice_two_faced_from_config(config, args.length)
     else:
@@ -187,6 +189,7 @@ def _cmd_whiten(args, parser, stdin, stdout) -> int:
                 or args.os_entropy or args.entropy_file is not None):
             parser.error("--pi, --variant and the entropy flags are not allowed "
                          "with --config")
+        from . import combine as combine_mod
         config = combine_mod.load_config(args.config)
         mask = lambda n: combine_mod.twice_two_faced_from_config(config, n)
     else:
@@ -199,6 +202,7 @@ def _cmd_whiten(args, parser, stdin, stdout) -> int:
 
 
 def _cmd_analyze(args, parser, stdin, stdout) -> int:
+    from . import stats as stats_mod
     stats_mod.check_block_range(args.max_block, args.min_block)
     if not 0.0 <= args.alpha <= 1.0:  # NaN fails too
         parser.error(f"--alpha must lie in [0, 1], got {args.alpha}")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,8 +28,9 @@ from .bitseq import BitSequence, as_bit_array
 from .errors import CapacityError
 from .kernels import (KernelSpec, KernelTable, TABLE_ORDER_CAP, context_to_int,
                       int_to_context, kernel_table, pi_letter)
-from .sources import BitSource
-from .stats import BLOCK_LEN_CAP, conditional_entropy
+
+if TYPE_CHECKING:
+    from .sources import BitSource
 
 EXTENSION_CAP = 8
 
@@ -103,12 +105,29 @@ def _byte_steps(s: int) -> tuple[bytes, list[int]]:
 
 
 def _chunks(bits: np.ndarray, s: int) -> np.ndarray:
-    """The bits in s-bit chunks, one per byte, first bit high, zero-padded."""
-    rows = np.zeros((-(-bits.size // s), 8), dtype=np.uint8)
-    whole = bits.size // s
-    rows[:whole, 8 - s:] = bits[:whole * s].reshape(-1, s)
-    rows[whole:, 8 - s:8 - s + bits.size % s] = bits[whole * s:]
-    return np.packbits(rows)
+    """The bits in s-bit chunks, one per byte, first bit high, zero-padded.
+    Below s = 8, packed in s strided passes, so no temporary outgrows the
+    chunks (a padded 8-bit row per chunk took 8 bytes per bit at s = 1)."""
+    if s == 8:
+        return np.packbits(bits)
+    bits = bits.view(np.uint8)
+    out = np.zeros(-(-bits.size // s), dtype=np.uint8)
+    for j in range(s):
+        column = bits[j::s] << s - 1 - j
+        out[:column.size] |= column
+    return out
+
+
+def _unchunk(chunks: np.ndarray, s: int, n: int) -> np.ndarray:
+    """The first n bits of s-bit chunks, one per byte, first bit high."""
+    if s == 8:
+        return np.unpackbits(chunks, count=n)
+    out = np.empty(chunks.size * s, dtype=np.uint8)
+    for j in range(s):
+        column = out[j::s]
+        np.right_shift(chunks, s - 1 - j, out=column)
+        column &= 1
+    return out[:n]
 
 
 def _generate_steps(state: GeneratorState, ge_pi, ge_q) -> np.ndarray:
@@ -127,7 +146,9 @@ def _generate_steps(state: GeneratorState, ge_pi, ge_q) -> np.ndarray:
     pad = -k % s
     g = _chunks(ge_pi, s)
     # d << s | g: XORing the leaving chunk in makes the index.
-    dg = memoryview(_chunks(ge_pi ^ ge_q, s).astype(np.uint16) << s | g)
+    dg = (g ^ _chunks(ge_q, s)).astype(np.uint16)
+    dg <<= s
+    dg |= g
     history = bytearray(state.context.to_bytes(-(-k // 8), "big"))
     start = len(history)
     emit = history.append
@@ -136,17 +157,16 @@ def _generate_steps(state: GeneratorState, ge_pi, ge_q) -> np.ndarray:
     if pad:
         ahead = iter(history)
         next(ahead)
-        for g_b, dg_b, h0, h1 in zip(g.tobytes(), dg, history, ahead):
+        for g_b, dg_b, h0, h1 in zip(g.tobytes(), memoryview(dg), history, ahead):
             i = letter | dg_b ^ ((h0 << 8 | h1) >> (8 - pad) & 255)
             emit(g_b ^ masked[i])
             letter = final[i]
     else:
-        for g_b, dg_b, h0 in zip(g.tobytes(), dg, history):
+        for g_b, dg_b, h0 in zip(g.tobytes(), memoryview(dg), history):
             i = letter | dg_b ^ h0
             emit(g_b ^ masked[i])
             letter = final[i]
-    out = np.unpackbits(np.frombuffer(history, np.uint8, offset=start))
-    out = out.reshape(-1, 8)[:, 8 - s:].reshape(-1)[:ge_pi.size]
+    out = _unchunk(np.frombuffer(history, np.uint8, offset=start), s, ge_pi.size)
     tail = out[max(out.size - k, 0):]
     state.context = (state.context << tail.size | context_to_int(tail)) & ((1 << k) - 1)
     return out
@@ -223,6 +243,7 @@ def exact_block_distribution(kernel: KernelSpec, initial: StateDistribution,
     `offset` steps, then sums the oldest letter out; what is left is
     marginalized (block_len < order) or extended (block_len > order).
     """
+    from .stats import BLOCK_LEN_CAP
     k = kernel.order
     m = block_len
     if initial.order != k:
@@ -251,6 +272,7 @@ def exact_conditional_entropy(kernel: KernelSpec, m: int) -> float:
     Equal to 1 exactly for m <= order and to the binary entropy of pi for
     every m > order.
     """
+    from .stats import conditional_entropy
     if m < 1:
         raise ValueError("entropy order must be positive")
     return conditional_entropy(exact_block_distribution(

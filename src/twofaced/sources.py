@@ -17,6 +17,7 @@ same stream, on every platform; golden vectors are pinned in the tests.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 
@@ -139,6 +140,27 @@ class FileBitSource(ReplayBitSource):
         super().__init__(BitSequence.from_packed(data).array)
 
 
+@functools.lru_cache(maxsize=256)
+def _mark(t: float) -> np.uint64:
+    """rev53(ceil(t * 2^53) - 1): the threshold as `at_least` compares it."""
+    return np.uint64(int(f"{math.ceil(t * 2.0 ** 53) - 1:053b}"[::-1], 2))
+
+
+@functools.cache
+def _field_layout() -> tuple[np.ndarray, ...]:
+    """Word, bit, next word and shift of each of 64 draws' fields in 53
+    words; built on first use.
+
+    A field may run on into the next word, so every column ORs in that
+    word shifted up by 64 - bit.  Where the field fits in its own word,
+    those bits land at 53 or above (a shift of 64 gives 0) and the mask
+    drops them; the last column's next word is clamped.
+    """
+    first = 53 * np.arange(64)
+    word, bit = first >> 6, (first & 63).astype(np.uint64)
+    return word, bit, np.minimum(word + 1, 52), np.uint64(64) - bit
+
+
 class UniformRealSource:
     """Uniform reals in [0, 1) folded from an underlying bit source."""
 
@@ -176,15 +198,8 @@ class UniformRealSource:
         if not all(0.0 < t <= 1.0 for t in thresholds):
             raise ValueError(f"thresholds must lie in (0, 1], got {thresholds!r}")
         words = self.source.words(53 * n)
-        marks = [np.uint64(int(f"{math.ceil(t * 2.0 ** 53) - 1:053b}"[::-1], 2))
-                 for t in thresholds]
-        # A field may run on into the next word, so every column ORs in
-        # that word shifted up by 64 - bit.  Where the field fits in its own
-        # word, those bits land at 53 or above (a shift of 64 gives 0) and
-        # the mask drops them; the last column's next word is clamped.
-        first = 53 * np.arange(64)
-        word, bit = first >> 6, (first & 63).astype(np.uint64)
-        after, rise = np.minimum(word + 1, 52), np.uint64(64) - bit
+        marks = [_mark(t) for t in thresholds]
+        word, bit, after, rise = _field_layout()
         groups = -(-n // 64)
         out = np.empty((len(marks), groups, 64), dtype=bool)
         for a in range(0, groups, _PASS_GROUPS):

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -533,6 +534,7 @@ def test_gen_entropy_file_golden_digest_and_one_bit_short(tmp_path):
 
 _NO_TABLES_PROBE = """
 import io
+import json
 import twofaced.cli
 from twofaced.generator import _byte_steps
 
@@ -558,3 +560,43 @@ def test_cli_start_up_builds_no_sampler_tables():
     proc = subprocess.run([sys.executable, "-c", _NO_TABLES_PROBE], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+_MODULES_PROBE = """
+import io, json, sys
+import twofaced.cli
+argv, stdin = json.loads(sys.argv[1])
+code = twofaced.cli.run(argv, io.BytesIO(stdin.encode()), io.BytesIO(), io.StringIO())
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("twofaced."))]))
+"""
+
+_LAZY = {"twofaced.combine", "twofaced.sources", "twofaced.stats"}
+
+
+@pytest.mark.parametrize("argv, stdin, used", [
+    pytest.param(["--help"], "", set(), id="help"),
+    pytest.param(["gen", "--order", "8", "--pi", "0.2", "--length", "9", "--seed", "1"], "",
+                 {"twofaced.sources"}, id="gen"),
+    pytest.param(["analyze", "--max-block", "4"], "0110100110010110" * 4,
+                 {"twofaced.stats"}, id="analyze"),
+    pytest.param(["transform", "--init", "101"], "0110", set(), id="transform"),
+    pytest.param(["combine", "--config", "LADDER", "--length", "64"], "",
+                 {"twofaced.combine", "twofaced.sources"}, id="combine-config"),
+    pytest.param(["whiten", "--order", "3", "--pi", "0.2", "--seed", "1"], "0110",
+                 {"twofaced.sources"}, id="whiten-order"),
+    pytest.param(["expand", "--seed-hex", "d5ec8ef8", "--order", "8", "--length", "99"], "",
+                 set(), id="expand"),
+])
+def test_cli_start_up_loads_only_what_the_command_runs(tmp_path, argv, stdin, used):
+    # without a bytecode cache every loaded module is compiled at each start
+    ladder = tmp_path / "ladder.cfg"
+    ladder.write_text(render_config(default_config(pi=0.2, seed=3, n=64)))
+    argv = [str(ladder) if a == "LADDER" else a for a in argv]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, json.dumps([argv, stdin])],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert _LAZY & set(loaded) == used, loaded
