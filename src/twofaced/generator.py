@@ -107,7 +107,7 @@ def _byte_steps(s: int) -> tuple[bytes, list[int]]:
 def _chunks(bits: np.ndarray, s: int) -> np.ndarray:
     """The bits in s-bit chunks, one per byte, first bit high, zero-padded.
     Below s = 8, packed in s strided passes, so no temporary outgrows the
-    chunks (a padded 8-bit row per chunk took 8 bytes per bit at s = 1)."""
+    chunks; an 8-bit row per chunk would take 8/s bytes per bit."""
     if s == 8:
         return np.packbits(bits)
     bits = bits.view(np.uint8)

@@ -534,7 +534,6 @@ def test_gen_entropy_file_golden_digest_and_one_bit_short(tmp_path):
 
 _NO_TABLES_PROBE = """
 import io
-import json
 import twofaced.cli
 from twofaced.generator import _byte_steps
 

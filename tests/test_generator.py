@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from twofaced._reference import (ReplayRealSource, cond_prob_recursive,
                                  generate_by_conversion)
 from twofaced.errors import CapacityError, SourceExhaustedError
-from twofaced.generator import (StateDistribution, _chunks,
-                                _generate_steps, _unchunk,
+from twofaced.generator import (StateDistribution, _generate_steps,
                                 exact_block_distribution,
                                 exact_conditional_entropy, generate,
                                 init_fixed, init_uniform, limit_entropy,
@@ -206,19 +205,10 @@ def test_exact_operations_refuse_large_orders_before_allocating(order):
         assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("s", range(1, 9))
-def test_chunks_pack_first_bit_high_and_round_trip(s):
-    bits = np.random.default_rng(s).random(5 * s + 3) < 0.5
-    chunks = _chunks(bits, s)
-    text = "".join(map(str, bits.astype(int)))
-    assert chunks.tolist() == [int(text[i:i + s].ljust(s, "0"), 2)
-                               for i in range(0, len(text), s)]
-    assert np.array_equal(_unchunk(chunks, s, bits.size), bits)
-
-
 @pytest.mark.parametrize("order", [1, 2, 3, 8, 9])
 def test_sampler_steps_peak_bytes_per_bit(order):
-    # a padded 8-byte row per chunk took 12 B/bit at order 1
+    # chunks, index and output take about 5 B/bit at order 1; a padded
+    # 8-bit row per chunk would take 12
     n = 10 ** 5
     state = init_uniform(_kernel(order), CounterBitSource(5))
     ge_pi, ge_q = UniformRealSource(CounterBitSource(9)).at_least(n, (0.2, 0.8))
