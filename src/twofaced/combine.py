@@ -33,8 +33,6 @@ from .generator import generate, init_uniform
 from .kernels import KernelSpec, Variant
 from .sources import CounterBitSource, UniformRealSource, mix64
 
-StreamFactory = Callable[[int], BitSequence]
-
 
 @dataclass(frozen=True)
 class CutSequence:
@@ -82,7 +80,7 @@ class TwiceTwoFacedConfig:
     components: tuple[ComponentSpec, ...]
 
 
-def component_stream(spec: ComponentSpec) -> StreamFactory:
+def component_stream(spec: ComponentSpec) -> Callable[[int], BitSequence]:
     """Factory producing the component's prefix of a requested length.
 
     Each call restarts the component from its seed: the first `order`
@@ -97,7 +95,7 @@ def component_stream(spec: ComponentSpec) -> StreamFactory:
     return build
 
 
-def twice_two_faced(factories: Sequence[StreamFactory], cuts: CutSequence,
+def twice_two_faced(factories: Sequence[Callable[[int], BitSequence]], cuts: CutSequence,
                     n: int) -> BitSequence:
     """Combine component streams over the cut sequence up to length n."""
     if n < 0:

@@ -8,7 +8,9 @@ Two source contracts are used throughout the package:
   draw consumes exactly 53 bits, first bit most significant, and the
   value is ``mantissa / 2**53``.  Its ``at_least`` compares the draws
   with thresholds straight from the source's 64-bit words, without
-  making floats; it agrees with ``reals(n) >= t`` exactly.
+  making floats; it agrees with ``reals(n) >= t`` exactly.  Per draw,
+  ``at_least`` holds about 40 bytes of temporaries and ``reals`` 70;
+  ``generate`` bounds them by calling ``at_least`` a pass at a time.
 
 The deterministic implementation is counter-mode splitmix64: block i of
 the stream is ``mix64(seed + (i + 1) * 0x9E3779B97F4A7C15)`` and the 64
@@ -31,9 +33,6 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK53 = np.uint64((1 << 53) - 1)
-# Long reads run in passes, to bound the temporaries.
-_PASS_WORDS = 1 << 16
-_PASS_GROUPS = 1 << 9  # groups of 64 draws
 
 
 def _finalize(z: np.ndarray) -> np.ndarray:
@@ -81,18 +80,15 @@ class CounterBitSource(BitSource):
         if n < 0:
             raise ValueError("bit count must be nonnegative")
         first, start = divmod(self._pos, 64)
-        out = np.empty(-(-n // 64), dtype=np.uint64)
-        # Each pass makes one block more than it keeps: a word that starts
-        # `start` bits into block i ends in block i + 1.
-        for a in range(0, out.size, _PASS_WORDS):
-            count = min(_PASS_WORDS, out.size - a)
-            ctr = np.arange(first + a + 1, first + a + count + 2, dtype=np.uint64)
-            z = _finalize(np.uint64(self.seed) + ctr * np.uint64(_GAMMA))
-            if start:
-                high = z[1:] << np.uint64(64 - start)
-                z >>= np.uint64(start)
-                z[:-1] |= high
-            out[a:a + count] = z[:-1]
+        # One block more than is kept: a word that starts `start` bits into
+        # block i ends in block i + 1.
+        ctr = np.arange(first + 1, first + -(-n // 64) + 2, dtype=np.uint64)
+        z = _finalize(np.uint64(self.seed) + ctr * np.uint64(_GAMMA))
+        if start:
+            high = z[1:] << np.uint64(64 - start)
+            z >>= np.uint64(start)
+            z[:-1] |= high
+        out = z[:-1]
         if n % 64:
             out[-1] &= np.uint64((1 << n % 64) - 1)
         self._pos += n
@@ -197,26 +193,20 @@ class UniformRealSource:
             raise ValueError("draw count must be nonnegative")
         if not all(0.0 < t <= 1.0 for t in thresholds):
             raise ValueError(f"thresholds must lie in (0, 1], got {thresholds!r}")
-        words = self.source.words(53 * n)
-        marks = [_mark(t) for t in thresholds]
         word, bit, after, rise = _field_layout()
-        groups = -(-n // 64)
-        out = np.empty((len(marks), groups, 64), dtype=bool)
-        for a in range(0, groups, _PASS_GROUPS):
-            b = min(a + _PASS_GROUPS, groups)
-            rows = words[53 * a:53 * b]
-            if rows.size < 53 * (b - a):  # the last group is partial
-                rows = np.concatenate([rows, np.zeros(53 * (b - a) - rows.size, np.uint64)])
-            rows = rows.reshape(b - a, 53)
-            f = rows[:, word] >> bit
-            f |= rows[:, after] << rise
-            f &= _MASK53
-            for mark, decided in zip(marks, out):
-                x = f ^ mark
-                x &= -x
-                x &= f
-                np.not_equal(x, 0, out=decided[a:b])
-        return [decided.ravel()[:n] for decided in out]
+        rows = np.zeros((-(-n // 64), 53), dtype=np.uint64)  # the last group may be partial
+        words = self.source.words(53 * n)
+        rows.ravel()[:words.size] = words
+        f = rows[:, word] >> bit
+        f |= rows[:, after] << rise
+        f &= _MASK53
+        out = []
+        for t in thresholds:
+            x = f ^ _mark(t)
+            x &= -x
+            x &= f
+            out.append(np.not_equal(x, 0).ravel()[:n])
+        return out
 
 
 def next_bits(source: BitSource, n: int) -> BitSequence:

@@ -480,7 +480,7 @@ def test_bad_stream_data_is_runtime_error():
 
 
 def test_huge_length_memory_error_is_runtime_error():
-    # numpy refuses the 7 PiB draw buffer at once, so nothing is allocated.
+    # numpy refuses generate's 909 TiB output array at once, so nothing is allocated.
     code, out, err = invoke(["gen", "--order", "8", "--pi", "0.2", "--length",
                              "1000000000000000", "--seed", "1"])
     assert code == 1 and out == b""

@@ -422,3 +422,49 @@ def test_generate_golden_digests_by_order(order):
             h.update(np.packbits(out).tobytes())
             h.update(str(context).encode())
     assert h.hexdigest() == _ORDER_DIGESTS[order]
+
+
+# Multi-pass pins: 3P + 12,345 bits at pi 0.2 from seed 9, with P = 2^15 the
+# draws `generate` takes per pass, whole and in chunks that cross the pass
+# boundaries.  One sha256 per order over both variants of the packed output,
+# the final window and the next 64 source bits.  Computed while `generate`
+# still drew the whole length at once.
+_PASS = 1 << 15
+_PASS_CHUNKS = (1, _PASS - 1, _PASS + 7, _PASS + 12338)  # 3P + 12,345 in all
+_MULTI_PASS_DIGESTS = {
+    1: "2b74b411f43f111fe7f7402998a2beae2b90cea7a127a3e7f54298025e6bb375",
+    8: "04f547884902584c1b5296dbbb74846ea5eed50b752e1e226b663a2a9871df95",
+    13: "18654e9e781e618a724323f4e0ce582d447bfc0d13e4dc795f3e6b3c201ce389",
+    1 << 17: "4057cd9295ccfbcea3d2974baec566a2e516e6e054632a5ac5eeee1c82daf961",
+}
+
+
+@pytest.mark.parametrize("order", sorted(_MULTI_PASS_DIGESTS))
+def test_generate_golden_digests_across_passes(order):
+    h = hashlib.sha256()
+    for variant in Variant:
+        out, context, after = _pinned_run(variant, order, 0.2, (sum(_PASS_CHUNKS),))
+        chunked = _pinned_run(variant, order, 0.2, _PASS_CHUNKS)
+        assert np.array_equal(chunked[0], out) and chunked[1] == context
+        assert np.array_equal(chunked[2], after)
+        h.update(np.packbits(out).tobytes())
+        h.update(context.to_bytes(-(-order // 8), "big"))  # str() refuses 2^17 bits
+        h.update(np.packbits(after).tobytes())
+    assert h.hexdigest() == _MULTI_PASS_DIGESTS[order]
+
+
+@pytest.mark.parametrize("order", [1, 8, 13])
+def test_generate_peak_bytes_per_bit(order):
+    # the output takes 1 B/bit; one pass of draws and steps is bounded by the
+    # pass size, where drawing all n at once would hold 53 source bits each
+    n = 4 * 10 ** 6
+    src = CounterBitSource(5)
+    state = init_uniform(_kernel(order), src)
+    generate(state, 1, UniformRealSource(src))  # the step tables are built once
+    tracemalloc.start()
+    try:
+        generate(state, n, UniformRealSource(src))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n
