@@ -384,7 +384,8 @@ def test_zero_length_draws_leave_source_and_state_alone():
 # a uniform start at seed 9 followed by the final window.  Computed before
 # the draws were compared as splitmix64 words and the sampler stepped a
 # byte at a time; orders 2 to 6, before every order stepped min(order, 8)
-# bits per table lookup.
+# bits per table lookup; orders 1023 to 10,007, before large orders stepped
+# a block of outputs at a time.
 _CHUNKS = (1, 65535, 7, 34457)
 _ORDER_DIGESTS = {
     1: "fc00882554740ab3e0e9cc94932adfe3f7c72bd8565b0b96c29b1a4baeb27d81",
@@ -399,7 +400,13 @@ _ORDER_DIGESTS = {
     13: "61596c95c675533e60527263c615ec4c80d030438ea7c7c8afb1bcec1b686c13",
     256: "0ad948ed1e0c29e434b0e421d7a310789127f7cc24db13e2492bce92cab486b2",
     1000: "c8a1f402a9943d909144eb01ae6c8389d595b4976d26e97ab9809b70ec5e90b1",
+    1023: "e1e0c01082ba6cf29f5cf609d8b84565f961946f9fa8ef527f8b52c8427f311e",
+    1024: "dbe98cf8fa39874d3d784c940a88acdfbe0a572017ce64b4d4e498d9625d9882",
+    2047: "0c5cb524e3b0a09122b2a271ccafaf32169428c4f4c4c3989b9d9683b6178cc1",
+    2048: "625523de5a288b2f76cc215234112b39d29a09de357138c99c49460427d062e6",
+    2049: "fb38067f614c53fd299b8f969ea01098f79327fb3c361751e43d827f56afb3de",
     4096: "c47bafd6ba0e0283e333145eb116edc35aa4387380cf50d387c8cd3eeb7bd16c",
+    10007: "3072dc66b72a7bb8c74344a56ae3c915b63d4010f827f76affebbee50232c595",
 }
 
 
@@ -410,7 +417,7 @@ def _pinned_run(variant, order, pi, chunks):
     return np.concatenate(pieces), state.context, src.bits(64)
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 256, 1000, 4096])
+@pytest.mark.parametrize("order", sorted(_ORDER_DIGESTS))
 def test_generate_golden_digests_by_order(order):
     h = hashlib.sha256()
     for variant in Variant:
@@ -428,13 +435,15 @@ def test_generate_golden_digests_by_order(order):
 # draws `generate` takes per pass, whole and in chunks that cross the pass
 # boundaries.  One sha256 per order over both variants of the packed output,
 # the final window and the next 64 source bits.  Computed while `generate`
-# still drew the whole length at once.
+# still drew the whole length at once; 2^17 - 3, whose leaving bytes straddle
+# two history bytes, before large orders stepped a block at a time.
 _PASS = 1 << 15
 _PASS_CHUNKS = (1, _PASS - 1, _PASS + 7, _PASS + 12338)  # 3P + 12,345 in all
 _MULTI_PASS_DIGESTS = {
     1: "2b74b411f43f111fe7f7402998a2beae2b90cea7a127a3e7f54298025e6bb375",
     8: "04f547884902584c1b5296dbbb74846ea5eed50b752e1e226b663a2a9871df95",
     13: "18654e9e781e618a724323f4e0ce582d447bfc0d13e4dc795f3e6b3c201ce389",
+    (1 << 17) - 3: "f4d5af666f43795e8ed9b0b84bb879b9c986a399538e84275cae1d89ba8cae8d",
     1 << 17: "4057cd9295ccfbcea3d2974baec566a2e516e6e054632a5ac5eeee1c82daf961",
 }
 
