@@ -38,6 +38,9 @@ EXTENSION_CAP = 8
 # Draws per `generate` pass, whole groups of 64 for `at_least`.  Measured:
 # 2^15 keeps a pass's temporaries in a 2 MB L2 cache; 2^16 and 2^17 ran slower.
 _PASS_DRAWS = 1 << 15
+# From this order up `generate` steps a block of k // 8 output bytes per round
+# of numpy calls instead of one byte per Python iteration.
+_SCAN_ORDER = 1024
 
 
 @dataclass
@@ -91,14 +94,16 @@ def generate(state: GeneratorState, n: int, reals) -> BitSequence:
 
 
 @functools.cache
-def _byte_steps(s: int) -> tuple[bytes, list[int]]:
+def _byte_steps(s: int) -> tuple[bytes, list[int], np.ndarray]:
     """Tables that take s <= 8 sampler steps at once.
 
     With g = [u >= pi], d = g ^ [u >= 1 - pi] and c = g ^ (the bit leaving
     the window), a step emits g ^ (letter & d) and moves the pi-letter to
     (letter & ~d) ^ c.  Indexed by letter << 2s | d << s | c, with d and c
     s-bit chunks, first step high, they give the s steps' letter & d as a
-    chunk and the final letter << 2s.  Built on first use: 2^(2s+1) entries.
+    chunk and the final letter: as ints letter << 2s for the table loop and
+    as an array of letters for the block scan.  Built on first use: 2^(2s+1)
+    entries.
     """
     index = np.arange(1 << 2 * s + 1)
     letter, d, c = ((index >> shift & (1 << s) - 1).astype(np.uint8)
@@ -109,7 +114,18 @@ def _byte_steps(s: int) -> tuple[bytes, list[int]]:
         masked |= (letter & d_i) << step
         letter = letter & (d_i ^ 1) ^ c >> step & 1
     # The final letters as two shared int objects, ready to OR into an index.
-    return masked.tobytes(), np.array([0, 1 << 2 * s], dtype=object)[letter].tolist()
+    shifted = np.array([0, 1 << 2 * s], dtype=object)[letter].tolist()
+    return masked.tobytes(), shifted, letter
+
+
+@functools.cache
+def _scan_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_byte_steps(8)` for the block scan: the masked bits, and per
+    d << 8 | c the final letter from letter 0 and whether a byte resets the
+    letter (its final letter is the same from 0 and 1).  Built on first use."""
+    masked, _, final = _byte_steps(8)
+    first, second = final[:1 << 16], final[1 << 16:]
+    return np.frombuffer(masked, np.uint8), first, first == second
 
 
 def _chunks(bits: np.ndarray, s: int) -> np.ndarray:
@@ -147,20 +163,35 @@ def _generate_steps(state: GeneratorState, ge_pi, ge_q) -> np.ndarray:
     during output chunk b are history bits sb + pad onwards.  pad is 0
     below order 8, where the window is one chunk, and at multiples of 8;
     otherwise s = 8 and the leaving chunk straddles two history bytes.
+    From `_SCAN_ORDER` up, `_block_scan` steps the bytes in place of the
+    table loop.
     """
     k = state.kernel.order
     s = min(k, 8)
-    masked, final = _byte_steps(s)
     pad = -k % s
     g = _chunks(ge_pi, s)
     # d << s | g: XORing the leaving chunk in makes the index.
     dg = (g ^ _chunks(ge_q, s)).astype(np.uint16)
     dg <<= s
     dg |= g
-    history = bytearray(state.context.to_bytes(-(-k // 8), "big"))
-    start = len(history)
+    window = state.context.to_bytes(-(-k // 8), "big")
+    letter = pi_letter(state.kernel.variant, state.context)
+    if k >= _SCAN_ORDER:
+        chunks = _block_scan(window, g, dg, pad, letter)
+    else:
+        chunks = _table_loop(window, g, dg, pad, letter, s)
+    out = _unchunk(chunks, s, ge_pi.size)
+    tail = out[max(out.size - k, 0):]
+    state.context = (state.context << tail.size | context_to_int(tail)) & ((1 << k) - 1)
+    return out
+
+
+def _table_loop(window: bytes, g, dg, pad: int, letter: int, s: int) -> np.ndarray:
+    """The output chunks, one Python iteration and table lookup each."""
+    masked, final, _ = _byte_steps(s)
+    history = bytearray(window)
     emit = history.append
-    letter = pi_letter(state.kernel.variant, state.context) << 2 * s
+    letter <<= 2 * s
     # The history is read while it grows, a padded window behind the appends.
     if pad:
         ahead = iter(history)
@@ -174,10 +205,46 @@ def _generate_steps(state: GeneratorState, ge_pi, ge_q) -> np.ndarray:
             i = letter | dg_b ^ h0
             emit(g_b ^ masked[i])
             letter = final[i]
-    out = _unchunk(np.frombuffer(history, np.uint8, offset=start), s, ge_pi.size)
-    tail = out[max(out.size - k, 0):]
-    state.context = (state.context << tail.size | context_to_int(tail)) & ((1 << k) - 1)
-    return out
+    return np.frombuffer(history, np.uint8, offset=len(window))
+
+
+def _block_scan(window: bytes, g, dg, pad: int, letter: int) -> np.ndarray:
+    """The table loop's output bytes at s = 8, a block of k // 8 bytes per
+    round of numpy calls: every bit leaving the window during a block is a
+    history bit from before it.
+
+    Within a block, the letter entering each byte is one segmented prefix
+    XOR: a byte that resets the letter starts a new segment, and any other
+    byte XORs the letter by its final letter from letter 0.
+    """
+    masked, first, resets = _scan_tables()
+    start = len(window)
+    history = np.empty(start + g.size, np.uint8)
+    history[:start] = np.frombuffer(window, np.uint8)
+    block = start - (pad > 0)
+    # Segment starts: position 0 (the letter entering the block) and the
+    # position after each resetting byte.
+    positions = np.arange(min(block, g.size) + 1)
+    for b in range(0, g.size, block):
+        m = min(block, g.size - b)
+        h = history[b:b + m + 1]
+        leaving = h[:m] << pad | h[1:] >> (8 - pad) if pad else h[:m]
+        idx = dg[b:b + m] ^ leaving
+        step = np.empty(m + 1, np.uint8)
+        step[0] = letter
+        first.take(idx, out=step[1:])
+        anchor = np.empty(m + 1, np.intp)
+        anchor[0] = 0
+        np.multiply(resets.take(idx), positions[1:m + 1], out=anchor[1:])
+        np.maximum.accumulate(anchor, out=anchor)
+        run = np.bitwise_xor.accumulate(step)
+        # The letters entering bytes b .. b + m: the run since the segment start.
+        letters = run ^ (run ^ step).take(anchor)
+        lookup = np.left_shift(letters[:m], 16, dtype=np.uint32)
+        lookup |= idx
+        np.bitwise_xor(g[b:b + m], masked.take(lookup), out=history[start + b:start + b + m])
+        letter = letters[m]
+    return history[start:]
 
 
 def _check_order_cap(order: int) -> None:

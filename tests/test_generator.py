@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 
 from twofaced._reference import (ReplayRealSource, cond_prob_recursive,
                                  generate_by_conversion)
+from twofaced import generator
 from twofaced.errors import CapacityError, SourceExhaustedError
-from twofaced.generator import (StateDistribution, _generate_steps,
+from twofaced.generator import (GeneratorState, StateDistribution, _generate_steps,
                                 exact_block_distribution,
                                 exact_conditional_entropy, generate,
                                 init_fixed, init_uniform, limit_entropy,
@@ -220,6 +222,26 @@ def test_sampler_steps_peak_bytes_per_bit(order):
     finally:
         tracemalloc.stop()
     assert peak < 6 * n
+
+
+@given(st.integers(8, 3000).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, 3 * k))),
+       st.sampled_from([0.2, 0.77]), st.sampled_from(Variant), st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_block_scan_matches_table_loop(order_and_n, pi, variant, seed):
+    # the table loop is correct at every order, so it is the scan's reference:
+    # same draws, same start, as many blocks as 3k outputs make
+    order, n = order_and_n
+    kernel = KernelSpec(variant, order, pi)
+    context = init_uniform(kernel, CounterBitSource(seed)).context
+    ge_pi, ge_q = UniformRealSource(CounterBitSource(seed + 1)).at_least(n, (pi, 1 - pi))
+    runs = []
+    for scan_order in (order, order + 1):  # the block scan, then the table loop
+        state = GeneratorState(kernel, context)
+        with mock.patch.object(generator, "_SCAN_ORDER", scan_order):
+            runs.append((_generate_steps(state, ge_pi, ge_q), state.context))
+    (scanned, scan_context), (looped, loop_context) = runs
+    assert np.array_equal(scanned, looped)
+    assert scan_context == loop_context
 
 
 def test_point_mass_converges_to_uniform():
@@ -462,7 +484,7 @@ def test_generate_golden_digests_across_passes(order):
     assert h.hexdigest() == _MULTI_PASS_DIGESTS[order]
 
 
-@pytest.mark.parametrize("order", [1, 8, 13])
+@pytest.mark.parametrize("order", [1, 8, 13, 4096, (1 << 17) - 3])
 def test_generate_peak_bytes_per_bit(order):
     # the output takes 1 B/bit; one pass of draws and steps is bounded by the
     # pass size, where drawing all n at once would hold 53 source bits each
