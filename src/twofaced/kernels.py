@@ -74,12 +74,11 @@ def as_context(context, order: int) -> tuple[int, ...]:
 def context_to_int(context) -> int:
     """Encode a context word as an integer, oldest bit most significant.
 
-    Linear in the word length: the bits are left-padded to whole bytes,
-    packed, and read as one big-endian integer.
+    Linear in the word length: the bits are packed, read as one big-endian
+    integer, and shifted right past the zero bits that fill the last byte.
     """
     bits = as_bit_array(context)
-    pad = np.zeros(-bits.size % 8, dtype=np.uint8)
-    return int.from_bytes(np.packbits(np.concatenate([pad, bits])).tobytes(), "big")
+    return int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-bits.size % 8)
 
 
 def int_to_context(value: int, order: int) -> tuple[int, ...]:

@@ -244,6 +244,19 @@ def test_block_scan_matches_table_loop(order_and_n, pi, variant, seed):
     assert scan_context == loop_context
 
 
+def test_init_uniform_peak_bytes_per_window_bit():
+    # the drawn window (1 B/bit), its uint8 copy and the packed bytes; padding
+    # the bits to whole bytes by a concatenate took another 1 B/bit
+    order = 10 ** 7 + 3
+    tracemalloc.start()
+    try:
+        init_uniform(_kernel(order), CounterBitSource(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * order
+
+
 def test_point_mass_converges_to_uniform():
     kern = _kernel(2, 0.2)
     dist = StateDistribution.point_mass(2, "11")
