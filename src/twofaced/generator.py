@@ -9,6 +9,15 @@ during that many steps are all known before them.  It takes
 `_PASS_DRAWS` draws a pass, since `at_least` holds temporaries in
 proportion to its draws: past the output, memory stays bounded.
 
+Two steppers share those tables.  Below `_SCAN_ORDER` a table loop takes
+one Python iteration per lookup.  From it up, `_block_scan` steps a block
+of order // 8 output bytes per round of numpy calls, since every bit
+leaving the window during a block was emitted before it.  A round costs
+about 14 us whatever its length, so the scan pays only once blocks are
+long: on 2^15-draw passes it lost to the loop at order 512 and tied at
+768, and from 896 up it won (13 against 17 ns/bit at 1024, 6 against
+29 at 2^17).
+
 The exact operations treat the chain on 2^k context states explicitly:
 `propagate` advances a state distribution, `exact_block_distribution`
 yields the law of a length-m window at a given offset, and
@@ -38,8 +47,8 @@ EXTENSION_CAP = 8
 # Draws per `generate` pass, whole groups of 64 for `at_least`.  Measured:
 # 2^15 keeps a pass's temporaries in a 2 MB L2 cache; 2^16 and 2^17 ran slower.
 _PASS_DRAWS = 1 << 15
-# From this order up `generate` steps a block of k // 8 output bytes per round
-# of numpy calls instead of one byte per Python iteration.
+# From this order up `generate` steps by `_block_scan`: measured crossover
+# with the table loop between orders 768 and 896.
 _SCAN_ORDER = 1024
 
 
@@ -163,8 +172,8 @@ def _generate_steps(state: GeneratorState, ge_pi, ge_q) -> np.ndarray:
     during output chunk b are history bits sb + pad onwards.  pad is 0
     below order 8, where the window is one chunk, and at multiples of 8;
     otherwise s = 8 and the leaving chunk straddles two history bytes.
-    From `_SCAN_ORDER` up, `_block_scan` steps the bytes in place of the
-    table loop.
+    The chunks come from `_table_loop`, or from `_block_scan` from
+    `_SCAN_ORDER` up.
     """
     k = state.kernel.order
     s = min(k, 8)
