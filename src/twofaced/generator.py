@@ -15,8 +15,8 @@ of order // 8 output bytes per round of numpy calls, since every bit
 leaving the window during a block was emitted before it.  A round costs
 about 14 us whatever its length, so the scan pays only once blocks are
 long: on 2^15-draw passes it lost to the loop at order 512 and tied at
-768, and from 896 up it won (13 against 17 ns/bit at 1024, 6 against
-29 at 2^17).
+768, and from 896 up it won, taking about four fifths of the loop's
+time at 1024 and a fifth at 2^17.
 
 The exact operations treat the chain on 2^k context states explicitly:
 `propagate` advances a state distribution, `exact_block_distribution`
