@@ -25,8 +25,8 @@ import numpy as np
 from .bitseq import BitSequence, as_bit_array
 from .errors import SourceExhaustedError
 from .generator import GeneratorState
-from .kernels import KernelSpec, Variant, _check_bit, as_context
-from .transform import TransformState, transform_chunk
+from .kernels import KernelSpec, Variant, _check_bit, as_context, context_to_int
+from .transform import transform
 
 
 def flipped(variant: Variant) -> Variant:
@@ -79,10 +79,9 @@ def generate_by_conversion(state: GeneratorState, n: int, reals) -> BitSequence:
     if n < 0:
         raise ValueError("length must be nonnegative")
     kernel = state.kernel
-    u = reals.reals(n)
-    window = TransformState(kernel.order, state.context, kernel.variant)
-    y = transform_chunk(window, (u >= kernel.pi).astype(np.uint8))
-    state.context = window.context
+    v = np.array(state.context_bits(), dtype=np.uint8)
+    y = transform(reals.reals(n) >= kernel.pi, v, kernel.variant)
+    state.context = context_to_int(np.concatenate([v, y.array])[-kernel.order:])
     return y
 
 

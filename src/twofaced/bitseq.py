@@ -24,6 +24,7 @@ def as_bit_array(bits) -> np.ndarray:
     Accepts a BitSequence, an ascii string of 0/1, a numpy array, bytes,
     or any iterable of integers.  Values that are not exactly 0 or 1
     (e.g. 0.6, or 256, which would wrap to 0 as uint8) raise ValueError.
+    A uint8 array, BitSequence or bytes comes back uncopied: read, never write.
     """
     if isinstance(bits, BitSequence):
         return bits.array
@@ -38,7 +39,7 @@ def as_bit_array(bits) -> np.ndarray:
     if raw.ndim != 1:
         raise ValueError("bit input must be one-dimensional")
     with np.errstate(invalid="ignore"):  # NaN and inf fail the check below
-        arr = raw.astype(np.uint8, copy=True)
+        arr = raw.astype(np.uint8, copy=False)
     if raw.dtype != np.uint8 and not np.array_equal(arr, raw):
         raise ValueError("bits must be 0 or 1")
     if arr.size and int(arr.max()) > 1:
@@ -62,6 +63,8 @@ class BitSequence:
 
     def __init__(self, bits: "Iterable[int] | np.ndarray | str | BitSequence" = ()):
         arr = as_bit_array(bits)
+        if not isinstance(bits, BitSequence) and (arr is bits or arr.base is not None):
+            arr = arr.copy()  # neither share nor freeze the caller's buffer
         arr.setflags(write=False)
         self._bits = arr
 

@@ -25,7 +25,7 @@ import os
 
 import numpy as np
 
-from .bitseq import BitSequence, as_bit_array
+from .bitseq import BitSequence
 from .errors import SourceExhaustedError
 
 _MASK64 = (1 << 64) - 1
@@ -109,7 +109,7 @@ class ReplayBitSource(BitSource):
     """Replays a fixed, finite bit sequence; errors on exhaustion."""
 
     def __init__(self, bits):
-        self._bits = as_bit_array(bits)
+        self._bits = BitSequence(bits).array  # owned: later writes to `bits` do not replay
         self._pos = 0
 
     @property
@@ -133,7 +133,7 @@ class FileBitSource(ReplayBitSource):
     def __init__(self, path):
         with open(path, "rb") as fh:
             data = fh.read()
-        super().__init__(BitSequence.from_packed(data).array)
+        super().__init__(BitSequence.from_packed(data))
 
 
 @functools.lru_cache(maxsize=256)

@@ -10,16 +10,17 @@ differs from PLAIN by a constant 1 XORed onto the input.
 
 The conversion is invertible given v: x_i = y_i XOR parity(window), see
 `inverse_transform`.  Whole sequences are processed with a vectorized
-prefix-XOR formulation; `TransformState` + `transform_chunk` provide the
-same map over chunked streams without buffering.
+prefix-XOR formulation.  A chunked caller carries only the last k output
+bits: after `y = transform(x, v, variant)` the next chunk's initial word
+is `np.concatenate([v, y])[-k:]`; for `inverse_transform(y, v, variant)`
+it is the same, the last k bits of v followed by the chunk's input y.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bitseq import BitSequence, as_bit_array
+# Unused here, but bench/tracer.py wraps context_to_int and int_to_context by this module.
 from .kernels import Variant, context_to_int, int_to_context, pi_letter
 
 
@@ -64,27 +65,3 @@ def inverse_transform(y, v, variant: Variant = Variant.PLAIN) -> BitSequence:
         xb ^= np.uint8(1)
     return BitSequence._wrap(xb)
 
-
-@dataclass
-class TransformState:
-    """Persistent window for chunked conversion of an unbounded stream,
-    stored as one integer like `GeneratorState.context`."""
-
-    order: int
-    context: int
-    variant: Variant = Variant.PLAIN
-
-    @classmethod
-    def start(cls, v, variant: Variant = Variant.PLAIN) -> "TransformState":
-        vb = as_bit_array(v)
-        if vb.size < 1:
-            raise ValueError("initial word must contain at least one bit")
-        return cls(vb.size, context_to_int(vb), variant)
-
-
-def transform_chunk(state: TransformState, x) -> BitSequence:
-    """Convert one chunk, carrying the output window across calls."""
-    v = np.array(int_to_context(state.context, state.order), dtype=np.uint8)
-    y = transform(x, v, state.variant)
-    state.context = context_to_int(np.concatenate([v, y.array])[-state.order:])
-    return y

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twofaced.bitseq import BitSequence, decode_stream, encode_stream
+from twofaced.bitseq import BitSequence, as_bit_array, decode_stream, encode_stream
+from twofaced.sources import ReplayBitSource
 
 bit_lists = st.lists(st.integers(0, 1), max_size=200)
 
@@ -104,6 +105,23 @@ def test_array_is_read_only():
     seq = BitSequence("101")
     with pytest.raises(ValueError):
         seq.array[0] = 0
+
+
+def test_owners_copy_a_shared_array():
+    # as_bit_array hands a uint8 array back as is; BitSequence and
+    # ReplayBitSource copy it, leaving the caller's array writable and
+    # not following later writes to it.
+    arr = np.array([0, 1, 1, 0], dtype=np.uint8)
+    assert as_bit_array(arr) is arr
+    seq, src = BitSequence(arr), ReplayBitSource(arr)
+    buf = bytearray([0, 1])
+    from_buf = BitSequence(buf)
+    assert arr.flags.writeable
+    arr[:] = 1
+    buf[0] = 1
+    assert seq == BitSequence("0110")
+    assert src.bits(4).tolist() == [0, 1, 1, 0]
+    assert from_buf == BitSequence("01")
 
 
 def test_unknown_format_rejected():

@@ -11,8 +11,7 @@ from twofaced.generator import StateDistribution, exact_block_distribution
 from twofaced.kernels import KernelSpec, Variant, int_to_context
 from twofaced.sources import CounterBitSource, next_bits
 from twofaced._reference import m_select_definitional
-from twofaced.transform import (TransformState, inverse_transform, transform,
-                                transform_chunk)
+from twofaced.transform import inverse_transform, transform
 
 bit_lists = st.lists(st.integers(0, 1), max_size=128)
 
@@ -154,14 +153,20 @@ def test_length_preserved_and_empty():
     lambda k: st.tuples(st.lists(st.integers(0, 1), min_size=k, max_size=k),
                         st.lists(st.integers(0, 1), min_size=0, max_size=64),
                         st.integers(1, 7))),
-    st.sampled_from([Variant.PLAIN, Variant.BAR]))
-def test_chunked_equals_whole(case, variant):
+    st.sampled_from([Variant.PLAIN, Variant.BAR]),
+    st.sampled_from([transform, inverse_transform]))
+def test_chunked_equals_whole(case, variant, convert):
+    # The window carried between chunks is the last k output bits of a
+    # transform, or the last k input bits of an inverse_transform.
     v, x, chunk = case
-    whole = transform(x, v, variant)
-    state = TransformState.start(v, variant)
+    whole = convert(x, v, variant)
+    window = np.array(v, dtype=np.uint8)
     parts = []
     for i in range(0, len(x), chunk):
-        parts.append(transform_chunk(state, x[i:i + chunk]))
+        part = convert(x[i:i + chunk], window, variant)
+        y_part = part if convert is transform else x[i:i + chunk]
+        window = np.concatenate([window, np.array(list(y_part), np.uint8)])[-len(v):]
+        parts.append(part)
     got = sum(parts, BitSequence())
     assert got == whole
 
