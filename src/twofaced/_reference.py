@@ -51,7 +51,7 @@ def pi_branch_recursive(variant: Variant, next_bit: int, context) -> bool:
 
 def cond_prob_recursive(spec: KernelSpec, next_bit: int, context) -> float:
     """P(next_bit | context) by the literal order-doubling recursion."""
-    bits = as_context(context, spec.order)
+    bits = tuple(as_context(context, spec.order).tolist())
     _check_bit(next_bit)
     return spec.pi if pi_branch_recursive(spec.variant, next_bit, bits) else 1.0 - spec.pi
 
@@ -61,7 +61,7 @@ def m_select_definitional(order: int, x_bit: int, context,
     """The conversion's output letter for one input bit, derived from the
     kernel definition: x=0 selects the letter whose conditional
     probability is pi, x=1 the other one."""
-    bits = as_context(context, order)
+    bits = tuple(as_context(context, order).tolist())
     if x_bit not in (0, 1):
         raise ValueError(f"input bit must be 0 or 1, got {x_bit!r}")
     pi_letter = 0 if pi_branch_recursive(variant, 0, bits) else 1

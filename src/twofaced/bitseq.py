@@ -137,11 +137,6 @@ class BitSequence:
             raise ValueError(f"length mismatch: {len(self)} vs {len(other)}")
         return BitSequence._wrap(self._bits ^ other._bits)
 
-    def __add__(self, other: "BitSequence") -> "BitSequence":
-        if not isinstance(other, BitSequence):
-            return NotImplemented
-        return BitSequence._wrap(np.concatenate([self._bits, other._bits]))
-
     def __repr__(self) -> str:
         shown = self.to_ascii01() if len(self) <= 64 else self[:64].to_ascii01() + "..."
         return f"BitSequence('{shown}', len={len(self)})"

@@ -20,7 +20,7 @@ import sys
 # are imported inside the commands that use them.  The names below stay
 # module globals, looked up here at call time (bench/tracer.py wraps them).
 from .bitseq import FORMATS, BitSequence, decode_stream, encode_stream
-from .errors import CapacityError, ConfigurationError, SourceExhaustedError
+from .errors import CapacityError, SourceExhaustedError
 from .expander import DEFAULT_PRECISION, ExpanderConfig, expand
 from .generator import generate, init_fixed, init_uniform
 from .kernels import KernelSpec, Variant
@@ -251,8 +251,7 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
         return _COMMANDS[args.command](args, args.parser, stdin, stdout)
     except SystemExit as exc:  # parser.error from semantic validation
         return int(exc.code or 0)
-    except (ValueError, CapacityError, ConfigurationError, SourceExhaustedError,
-            OSError) as exc:
+    except (ValueError, CapacityError, SourceExhaustedError, OSError) as exc:
         print(f"twofaced {args.command}: {exc}", file=stderr)
         return 1
     except MemoryError as exc:  # e.g. numpy refusing a huge --length

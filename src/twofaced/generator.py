@@ -35,10 +35,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bitseq import BitSequence, as_bit_array
+from .bitseq import BitSequence
 from .errors import CapacityError
-from .kernels import (KernelSpec, KernelTable, TABLE_ORDER_CAP, context_to_int,
-                      int_to_context, kernel_table, pi_letter)
+from .kernels import (KernelSpec, KernelTable, TABLE_ORDER_CAP, as_context,
+                      context_to_int, int_to_context, kernel_table, pi_letter)
 
 if TYPE_CHECKING:
     from .sources import BitSource
@@ -78,11 +78,7 @@ def init_uniform(kernel: KernelSpec, source: BitSource) -> GeneratorState:
 
 def init_fixed(kernel: KernelSpec, word) -> GeneratorState:
     """Start from a fixed initial window of length `order`."""
-    bits = as_bit_array(word)
-    if bits.size != kernel.order:
-        raise ValueError(
-            f"initial word length {bits.size} does not match order {kernel.order}")
-    return GeneratorState(kernel, context_to_int(bits))
+    return GeneratorState(kernel, context_to_int(as_context(word, kernel.order)))
 
 
 def generate(state: GeneratorState, n: int, reals) -> BitSequence:
@@ -291,11 +287,8 @@ class StateDistribution:
     @classmethod
     def point_mass(cls, order: int, word) -> "StateDistribution":
         _check_order_cap(order)
-        bits = as_bit_array(word)
-        if bits.size != order:
-            raise ValueError(f"word length {bits.size} does not match order {order}")
         p = np.zeros(1 << order)
-        p[context_to_int(bits)] = 1.0
+        p[context_to_int(as_context(word, order))] = 1.0
         return cls(order, p)
 
 

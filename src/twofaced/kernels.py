@@ -63,12 +63,14 @@ class KernelSpec:
             raise ValueError(f"pi must lie strictly inside (0, 1), got {self.pi!r}")
 
 
-def as_context(context, order: int) -> tuple[int, ...]:
-    """Normalize a context word to a tuple of bits, checking its length."""
+def as_context(context, order: int) -> np.ndarray:
+    """Check a k-bit context word: its bits as a 1-D uint8 array, exactly
+    `order` long.  The package's one length check for a window word; the
+    array may be the caller's own, so read it, never write it."""
     bits = as_bit_array(context)
     if bits.size != order:
         raise ValueError(f"context length {bits.size} does not match order {order}")
-    return tuple(bits.tolist())
+    return bits
 
 
 def context_to_int(context) -> int:
@@ -111,29 +113,12 @@ def cond_prob(spec: KernelSpec, next_bit: int, context) -> float:
 
 @dataclass(frozen=True)
 class KernelTable:
-    """Materialized conditional probabilities, one row per context word.
+    """Materialized conditional probabilities: entry u of `p0` and `p1` is
+    P(0|u) and P(1|u), the context read as a big-endian integer
+    (`context_to_int`); every entry is pi or 1 - pi."""
 
-    Row u (contexts indexed as big-endian integers, i.e. lexicographic
-    word order) holds (P(0|u), P(1|u)); every entry is pi or 1 - pi.
-    """
-
-    spec: KernelSpec
     p0: np.ndarray
     p1: np.ndarray
-
-    def row(self, context) -> tuple[float, float]:
-        u = context_to_int(as_context(context, self.spec.order))
-        return float(self.p0[u]), float(self.p1[u])
-
-    def to_csv(self) -> str:
-        """CSV rows ``context,p0,p1``, contexts in lexicographic order,
-        probabilities with 17 significant digits."""
-        k = self.spec.order
-        lines = ["context,p0,p1"]
-        for u in range(1 << k):
-            ctx = format(u, f"0{k}b")
-            lines.append(f"{ctx},{self.p0[u]:.17g},{self.p1[u]:.17g}")
-        return "\n".join(lines) + "\n"
 
 
 def kernel_table(spec: KernelSpec) -> KernelTable:
@@ -148,4 +133,4 @@ def kernel_table(spec: KernelSpec) -> KernelTable:
     p1 = np.where(letter == 1, pi, q)
     p0.setflags(write=False)
     p1.setflags(write=False)
-    return KernelTable(spec, p0, p1)
+    return KernelTable(p0, p1)

@@ -81,6 +81,13 @@ def test_gen_fixed_init_and_entropy_file(tmp_path):
     assert code == 0 and len(out.strip()) == 8
 
 
+def test_gen_init_of_wrong_length_exits_1():
+    code, out, err = invoke(["gen", "--order", "2", "--pi", "0.3", "--length", "8",
+                             "--init", "111", "--seed", "1"])
+    assert (code, out) == (1, b"")
+    assert err == "twofaced gen: context length 3 does not match order 2\n"
+
+
 def test_gen_os_entropy_runs():
     code, out, _ = invoke(["gen", "--order", "2", "--pi", "0.5", "--length", "16",
                            "--os-entropy"])

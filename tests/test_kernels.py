@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from twofaced.errors import CapacityError
 from twofaced._reference import cond_prob_recursive
+from twofaced.generator import StateDistribution, init_fixed
 from twofaced.kernels import (KernelSpec, Variant, as_context, cond_prob,
                               context_to_int, int_to_context, kernel_table)
 
@@ -154,26 +156,30 @@ def test_kernel_table_golden_digests(variant):
     assert h.hexdigest() == _GOLDEN_TABLES[variant]
 
 
-def test_kernel_table_csv_round_trip():
-    spec = KernelSpec(Variant.BAR, 2, 0.1)
-    table = kernel_table(spec)
-    lines = table.to_csv().strip().splitlines()
-    assert lines[0] == "context,p0,p1"
-    assert len(lines) == 5
-    contexts = [line.split(",")[0] for line in lines[1:]]
-    assert contexts == ["00", "01", "10", "11"]  # lexicographic
-    for line in lines[1:]:
-        ctx, p0, p1 = line.split(",")
-        assert float(p0) == table.row(ctx)[0]  # 17 digits round-trip exactly
-        assert float(p1) == table.row(ctx)[1]
-
-
 def test_context_int_round_trip():
     assert context_to_int((1, 0, 1)) == 0b101
     assert int_to_context(0b101, 3) == (1, 0, 1)
-    assert as_context("101", 3) == (1, 0, 1)
+    assert as_context("101", 3).tolist() == [1, 0, 1]
     with pytest.raises(ValueError):
         as_context("102", 3)
+
+
+_ORDER_2 = KernelSpec(Variant.PLAIN, 2, 0.2)
+
+
+@pytest.mark.parametrize("take_word", [
+    lambda word: init_fixed(_ORDER_2, word),
+    lambda word: StateDistribution.point_mass(2, word),
+    lambda word: cond_prob(_ORDER_2, 0, word),
+], ids=["init_fixed", "point_mass", "cond_prob"])
+@pytest.mark.parametrize("word, message", [
+    ("111", "context length 3 does not match order 2"),
+    ([1, 2], "bits must be 0 or 1"),
+], ids=["wrong_length", "bit_not_0_or_1"])
+def test_one_check_for_a_window_word(take_word, word, message):
+    # every entry point that takes a k-bit word checks it by `as_context`
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        take_word(word)
 
 
 def test_kernel_spec_accepts_integral_orders():

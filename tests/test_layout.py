@@ -1,7 +1,8 @@
-"""Static checks of two package design rules, read from the source by `ast`:
-the test-only oracles in `_reference` stay out of the package, and
+"""Static checks of three package design rules, read from the source by
+`ast`: the test-only oracles in `_reference` stay out of the package,
 production draws go through `UniformRealSource.at_least`, the package's
-one way to draw randomness, never through `reals`."""
+one way to draw randomness, never through `reals`, and every name a
+module imports is used in it."""
 import ast
 from pathlib import Path
 
@@ -9,6 +10,9 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "twofaced"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "_reference.py")
+# transform.py imports these without using them: bench/tracer.py wraps
+# context_to_int and int_to_context by that module.
+UNUSED_IMPORTS_ALLOWED = {"transform.py": {"context_to_int", "int_to_context"}}
 
 
 def _tree(path):
@@ -40,3 +44,43 @@ def test_no_module_draws_through_reals(path):
              if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
              and n.func.attr == "reals"]
     assert not lines, f"{path.name} calls .reals( at lines {lines}"
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg):
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used_names(tree) -> set:
+    """Every name the code reads, names inside string annotations included."""
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for annotation in _annotations(tree):
+        for n in ast.walk(annotation):
+            if isinstance(n, ast.Constant) and isinstance(n.value, str):
+                names |= _used_names(ast.parse(n.value, mode="eval"))
+    return names
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = _tree(path)
+    allowed = UNUSED_IMPORTS_ALLOWED.get(path.name, set()) | _used_names(tree)
+    unused = [(line, name) for line, name in _imported_names(tree) if name not in allowed]
+    assert not unused, f"{path.name} imports names it never uses: {unused}"

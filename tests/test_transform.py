@@ -166,9 +166,9 @@ def test_chunked_equals_whole(case, variant, convert):
         part = convert(x[i:i + chunk], window, variant)
         y_part = part if convert is transform else x[i:i + chunk]
         window = np.concatenate([window, np.array(list(y_part), np.uint8)])[-len(v):]
-        parts.append(part)
-    got = sum(parts, BitSequence())
-    assert got == whole
+        parts.append(part.array)
+    got = np.concatenate([np.zeros(0, np.uint8), *parts])
+    assert BitSequence(got) == whole
 
 
 def test_distribution_transport_exact():
