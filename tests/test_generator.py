@@ -421,7 +421,8 @@ def test_zero_length_draws_leave_source_and_state_alone():
 # the draws were compared as splitmix64 words and the sampler stepped a
 # byte at a time; orders 2 to 6, before every order stepped min(order, 8)
 # bits per table lookup; orders 1023 to 10,007, before large orders stepped
-# a block of outputs at a time.
+# a block of outputs at a time; orders 601, 801 and 1001, before orders
+# that are not a multiple of 8 took the block scan below 1024.
 _CHUNKS = (1, 65535, 7, 34457)
 _ORDER_DIGESTS = {
     1: "fc00882554740ab3e0e9cc94932adfe3f7c72bd8565b0b96c29b1a4baeb27d81",
@@ -435,7 +436,10 @@ _ORDER_DIGESTS = {
     9: "c84e4958494c80e8cbbc47b3d2d5d1a93c4c70733d5d4b9695aed9c9d3a2ee13",
     13: "61596c95c675533e60527263c615ec4c80d030438ea7c7c8afb1bcec1b686c13",
     256: "0ad948ed1e0c29e434b0e421d7a310789127f7cc24db13e2492bce92cab486b2",
+    601: "ee23f4426a5652c9e9eb6e4ee1e8d14e9ebf5cb9f80c0c6db8c9ac8609b864af",
+    801: "d36818ea2fe4e377c714fe31f41bf4a1318dc2b420a1ca44d8fbbb0adb62c0b8",
     1000: "c8a1f402a9943d909144eb01ae6c8389d595b4976d26e97ab9809b70ec5e90b1",
+    1001: "87f0691254717388e8a142e8efe73f08a83ceec1acd3fbf5b8b72015091e483d",
     1023: "e1e0c01082ba6cf29f5cf609d8b84565f961946f9fa8ef527f8b52c8427f311e",
     1024: "dbe98cf8fa39874d3d784c940a88acdfbe0a572017ce64b4d4e498d9625d9882",
     2047: "0c5cb524e3b0a09122b2a271ccafaf32169428c4f4c4c3989b9d9683b6178cc1",
