@@ -16,7 +16,11 @@ leaving the window during a block was emitted before it.  A round costs
 about 14 us whatever its length, so the scan pays only once blocks are
 long: on 2^15-draw passes it lost to the loop at order 512 and tied at
 768, and from 896 up it won, taking about four fifths of the loop's
-time at 1024 and a fifth at 2^17.
+time at 1024 and a fifth at 2^17.  At orders that are not a multiple of
+8 each leaving byte straddles two history bytes, which costs the loop a
+lookup's worth more per byte but the scan one more shift per block, so
+there the two tied at about 530 and the scan took 85% of the loop's time
+at 577 and 57% at 1001.
 
 The exact operations treat the chain on 2^k context states explicitly:
 `propagate` advances a state distribution, `exact_block_distribution`
@@ -47,9 +51,10 @@ EXTENSION_CAP = 8
 # Draws per `generate` pass, whole groups of 64 for `at_least`.  Measured:
 # 2^15 keeps a pass's temporaries in a 2 MB L2 cache; 2^16 and 2^17 ran slower.
 _PASS_DRAWS = 1 << 15
-# From this order up `generate` steps by `_block_scan`: measured crossover
-# with the table loop between orders 768 and 896.
-_SCAN_ORDER = 1024
+# From these orders up `generate` steps by `_block_scan`: at multiples of 8,
+# and at other orders, whose leaving bytes straddle two history bytes.
+# Measured crossovers with the table loop: between 768 and 896, and about 530.
+_SCAN_ORDER = (1024, 576)
 
 
 @dataclass
@@ -169,7 +174,7 @@ def _generate_steps(state: GeneratorState, ge_pi, ge_q) -> np.ndarray:
     below order 8, where the window is one chunk, and at multiples of 8;
     otherwise s = 8 and the leaving chunk straddles two history bytes.
     The chunks come from `_table_loop`, or from `_block_scan` from
-    `_SCAN_ORDER` up.
+    `_SCAN_ORDER` up, read at pad 0 or not.
     """
     k = state.kernel.order
     s = min(k, 8)
@@ -181,7 +186,7 @@ def _generate_steps(state: GeneratorState, ge_pi, ge_q) -> np.ndarray:
     dg |= g
     window = state.context.to_bytes(-(-k // 8), "big")
     letter = pi_letter(state.kernel.variant, state.context)
-    if k >= _SCAN_ORDER:
+    if k >= _SCAN_ORDER[pad > 0]:
         chunks = _block_scan(window, g, dg, pad, letter)
     else:
         chunks = _table_loop(window, g, dg, pad, letter, s)

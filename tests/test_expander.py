@@ -58,6 +58,18 @@ def test_expander_config_validation():
         ExpanderConfig(2, 10, precision=8)
 
 
+def test_coder_rejects_the_configs_out_of_range_precisions():
+    # At 3 bits the split gave f0 = 0 and 7 bits encoded to one; 15 and 63
+    # were taken though ExpanderConfig refuses them.
+    x = next_bits(CounterBitSource(3), 7)
+    for precision in (3, 15, 63):
+        for call in (lambda: ExpanderConfig(2, 10, precision),
+                     lambda: bernoulli_encode(x, 0.3, precision),
+                     lambda: bernoulli_decode(x, 0.3, 7, precision)):
+            with pytest.raises(ValueError, match=r"^precision must lie in \[16, 62\]$"):
+                call()
+
+
 def test_expander_config_takes_integral_values_only():
     config = ExpanderConfig(np.int64(16), np.int64(4096), np.int64(24))
     assert (config.order, config.target_len, config.precision) == (16, 4096, 24)
@@ -404,6 +416,21 @@ def test_decode_matches_reference_long_runs():
         for pi in (0.01, 0.3, 0.75, 0.99):
             assert bernoulli_decode(code, pi, 20000, precision) == \
                 _reference_decode(code, pi, 20000, precision), (precision, pi)
+    # Below 1 / _GROUP_RUN runs are stepped in groups of 8 under a bound:
+    # runs of thousands of steps, and outputs too short for a group (5) or
+    # that end in one (8, 9, 15), where the n - i cap and the checked loop
+    # both run.  An empty code decodes to all 0s, each a renormalisation
+    # cascade with no run to group, so a tenth of the length does there.
+    assert 1e-3 * expander._GROUP_RUN < 1
+    code = next_bits(CounterBitSource(0), 3000)
+    for precision in (16, 40, 62):
+        for pi in (PI_FLOOR, 1.2645584646472377e-05, 1e-3):
+            for length in (0, 112, 3000):
+                longest = 50_001 if length else 5_001
+                want = _reference_decode(code[:length], pi, longest, precision)
+                for n in (5, 8, 9, 15, longest):
+                    assert bernoulli_decode(code[:length], pi, n, precision) == \
+                        want[:n], (precision, pi, length, n)
 
 
 def test_expand_decodes_through_module_global(monkeypatch):

@@ -237,7 +237,7 @@ def test_block_scan_matches_table_loop(order_and_n, pi, variant, seed):
     runs = []
     for scan_order in (order, order + 1):  # the block scan, then the table loop
         state = GeneratorState(kernel, context)
-        with mock.patch.object(generator, "_SCAN_ORDER", scan_order):
+        with mock.patch.object(generator, "_SCAN_ORDER", (scan_order, scan_order)):
             runs.append((_generate_steps(state, ge_pi, ge_q), state.context))
     (scanned, scan_context), (looped, loop_context) = runs
     assert np.array_equal(scanned, looped)
