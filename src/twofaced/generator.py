@@ -19,8 +19,8 @@ long: on 2^15-draw passes it lost to the loop at order 512 and tied at
 time at 1024 and a fifth at 2^17.  At orders that are not a multiple of
 8 each leaving byte straddles two history bytes, which costs the loop a
 lookup's worth more per byte but the scan one more shift per block, so
-there the two tied at about 530 and the scan took 85% of the loop's time
-at 577 and 57% at 1001.
+there the two tied between 513 and 561, and from 801 to 1001 the scan
+took 56-68% of the loop's time.
 
 The exact operations treat the chain on 2^k context states explicitly:
 `propagate` advances a state distribution, `exact_block_distribution`
@@ -53,7 +53,8 @@ EXTENSION_CAP = 8
 _PASS_DRAWS = 1 << 15
 # From these orders up `generate` steps by `_block_scan`: at multiples of 8,
 # and at other orders, whose leaving bytes straddle two history bytes.
-# Measured crossovers with the table loop: between 768 and 896, and about 530.
+# Measured crossovers with the table loop: between 768 and 896, and between
+# 513 and 561.
 _SCAN_ORDER = (1024, 576)
 
 
@@ -173,8 +174,8 @@ def _generate_steps(state: GeneratorState, ge_pi, ge_q) -> np.ndarray:
     during output chunk b are history bits sb + pad onwards.  pad is 0
     below order 8, where the window is one chunk, and at multiples of 8;
     otherwise s = 8 and the leaving chunk straddles two history bytes.
-    The chunks come from `_table_loop`, or from `_block_scan` from
-    `_SCAN_ORDER` up, read at pad 0 or not.
+    The chunks come from `_table_loop`, or from `_block_scan` at orders
+    from `_SCAN_ORDER[pad > 0]` up.
     """
     k = state.kernel.order
     s = min(k, 8)
