@@ -173,8 +173,10 @@ def bernoulli_decode(code, pi: float, n: int,
     half_mask = mask >> 1
     top = 1 << (precision - 1)
     second = top >> 1
-    # Exhausted code words continue with zeros: decoding is total.
-    read = chain(as_bit_array(code).tolist(), repeat(0)).__next__
+    # Exhausted code words continue with zeros: decoding is total.  `ones`
+    # runs to the code's last 1.
+    ones = iter(np.trim_zeros(as_bit_array(code), "b").tolist())
+    read = chain(ones, repeat(0)).__next__
     point = 0
     for _ in range(precision):
         point = (point << 1) | read()
@@ -183,6 +185,10 @@ def bernoulli_decode(code, pi: float, n: int,
     i = 0
     grouped = total >= f0 * _GROUP_RUN
     while True:
+        if point == low and not operator.length_hint(ones):
+            # 0 is next, and renormalising on 0s keeps point == low: all are 0.
+            out[i:] = bytes(n - i)
+            break
         # Decode a run of 1s.  Within the run `high` stays put and only
         # the span shrinks, so every decision compares the span with a
         # threshold fixed for the run: a 0 comes next iff span <= zero_at

@@ -3,24 +3,26 @@
 Sampling follows a fixed inverse-transform convention so that runs are
 bit-reproducible: at each step the generator draws a uniform real u and
 emits 0 iff u < P(0 | context).  It takes the compares u >= pi and
-u >= 1 - pi from `at_least`, which needs no floats, and takes
-min(order, 8) steps per table lookup: the bits that leave the window
-during that many steps are all known before them.  It takes
-`_PASS_DRAWS` draws a pass, since `at_least` holds temporaries in
-proportion to its draws: past the output, memory stays bounded.
+u >= 1 - pi from `at_least`, which needs no floats, and takes 8 steps per
+table lookup at every order: the bits that leave the window during a byte
+of steps are known before it, as draws less the masked bits that the
+stepper carries.  It takes `_PASS_DRAWS` draws a pass, since `at_least`
+holds temporaries in proportion to its draws: past the output, memory
+stays bounded.
 
-Two steppers share those tables.  Below `_SCAN_ORDER` a table loop takes
-one Python iteration per lookup.  From it up, `_block_scan` steps a block
-of order // 8 output bytes per round of numpy calls, since every bit
-leaving the window during a block was emitted before it.  A round costs
-about 14 us whatever its length, so the scan pays only once blocks are
-long: on 2^15-draw passes it lost to the loop at order 512 and tied at
-768, and from 896 up it won, taking about four fifths of the loop's
-time at 1024 and a fifth at 2^17.  At orders that are not a multiple of
-8 each leaving byte straddles two history bytes, which costs the loop a
-lookup's worth more per byte but the scan one more shift per block, so
-there the two tied between 513 and 561, and from 801 to 1001 the scan
-took 56-68% of the loop's time.
+Two steppers share one table from order 8 up; each order below 8 has its
+own.  Below `_SCAN_ORDER` a table loop takes one Python iteration per
+lookup.  From it up, `_block_scan` steps a block of order // 8 output
+bytes per round of numpy calls, since every bit leaving the window during
+a block was emitted before it.  A round costs about 14 us whatever its
+length, so the scan pays only once blocks are long: on 2^15-draw passes
+it took 1.67 times the loop's time at order 512, 1.10 at 768 and 0.99 at
+832, and from 896 up it won, taking 0.87 of it at 1024, 0.42 at 4096 and
+0.29 at 2^17.  At orders that are not a multiple of 8 each leaving byte
+straddles two history bytes, which costs the loop a lookup's worth more
+per byte but the scan one more shift per block, so there the two tied
+between 513 and 545, and from 577 up the scan won, taking 0.76 of the
+loop's time at 705-769 and 0.22 at 2^17 - 3.
 
 The exact operations treat the chain on 2^k context states explicitly:
 `propagate` advances a state distribution, `exact_block_distribution`
@@ -53,9 +55,9 @@ EXTENSION_CAP = 8
 _PASS_DRAWS = 1 << 15
 # From these orders up `generate` steps by `_block_scan`: at multiples of 8,
 # and at other orders, whose leaving bytes straddle two history bytes.
-# Measured crossovers with the table loop: between 768 and 896, and between
-# 513 and 561.
-_SCAN_ORDER = (1024, 576)
+# Measured crossovers with the table loop: a tie at 832, and between 545
+# and 577.
+_SCAN_ORDER = (896, 576)
 
 
 @dataclass
@@ -105,145 +107,137 @@ def generate(state: GeneratorState, n: int, reals) -> BitSequence:
 
 
 @functools.cache
-def _byte_steps(s: int) -> tuple[bytes, list[int], np.ndarray]:
-    """Tables that take s <= 8 sampler steps at once.
+def _byte_steps(s: int) -> tuple[bytes, memoryview]:
+    """Tables that take 8 sampler steps at once at orders k with
+    s = min(k, 8).
 
-    With g = [u >= pi], d = g ^ [u >= 1 - pi] and c = g ^ (the bit leaving
-    the window), a step emits g ^ (letter & d) and moves the pi-letter to
-    (letter & ~d) ^ c.  Indexed by letter << 2s | d << s | c, with d and c
-    s-bit chunks, first step high, they give the s steps' letter & d as a
-    chunk and the final letter: as ints letter << 2s for the table loop and
-    as an array of letters for the block scan.  Built on first use: 2^(2s+1)
-    entries.
+    With g = [u >= pi] and d = g ^ [u >= 1 - pi], a step emits g ^ m, where
+    m = letter & d is its masked bit, and moves the pi-letter to
+    (letter & ~d) ^ c, where c = g ^ (the bit leaving the window).  That bit
+    is an output, so c = x ^ (the m k steps back), where x = g ^ (the g or
+    window bit k steps back) and a window bit's m is 0.  Indexed by
+    d << 9 | letter << 8 | x, with d and x a byte of steps, first step high,
+    and x already XORed with the m that leave during the byte from earlier
+    bytes, they give the byte's m and letter << 8 | (m << 8 - s) & 255: the
+    final letter and, below order 8, the m that leave during the next byte.
+    Below order 8 the table feeds back the m that leave within the byte.
+    Built on first use from uint8 broadcasts: 2^17 entries.
     """
-    index = np.arange(1 << 2 * s + 1)
-    letter, d, c = ((index >> shift & (1 << s) - 1).astype(np.uint8)
-                    for shift in (2 * s, s, 0))
-    masked = np.zeros_like(c)
-    for step in range(s - 1, -1, -1):
-        d_i = d >> step & 1
-        masked |= (letter & d_i) << step
-        letter = letter & (d_i ^ 1) ^ c >> step & 1
-    # The final letters as two shared int objects, ready to OR into an index.
-    shifted = np.array([0, 1 << 2 * s], dtype=object)[letter].tolist()
-    return masked.tobytes(), shifted, letter
+    d = np.arange(256, dtype=np.uint8).reshape(256, 1, 1)
+    x = d.reshape(1, 1, 256)
+    letter = np.arange(2, dtype=np.uint8).reshape(1, 2, 1)
+    m = np.zeros((256, 2, 256), np.uint8)
+    for j in range(7, -1, -1):  # the step at bit j; bit j + s is s steps back
+        d_j = d >> j & 1
+        c = x >> j & 1 ^ (m >> j + s & 1 if j + s < 8 else 0)
+        m |= (letter & d_j) << j
+        letter = letter & (d_j ^ 1) ^ c
+    carry = letter.astype(np.uint16) << 8 | m << 8 - s
+    return m.tobytes(), memoryview(carry.ravel())
 
 
 @functools.cache
-def _scan_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_byte_steps(8)` for the block scan: the masked bits, and per
-    d << 8 | c the final letter from letter 0 and whether a byte resets the
-    letter (its final letter is the same from 0 and 1).  Built on first use."""
-    masked, _, final = _byte_steps(8)
-    first, second = final[:1 << 16], final[1 << 16:]
-    return np.frombuffer(masked, np.uint8), first, first == second
+def _wide_steps() -> tuple[np.ndarray, np.ndarray, list[int], np.ndarray]:
+    """`_byte_steps(8)` for the steppers above order 8: the masked bits and
+    final letters as arrays for the block scan, the final letters shifted
+    by 8 as a list for the table loop (0 and 256 are cached ints, and a list
+    is the fastest lookup), and whether the byte resets the letter (its
+    final letter is the same from 0 and 1).  Built on first use."""
+    masked, carry = _byte_steps(8)
+    final = (np.frombuffer(carry, np.uint16) >> 8).astype(np.uint8)
+    halves = final.reshape(256, 2, 256)
+    resets = np.repeat(halves[:, :1] == halves[:, 1:], 2, axis=1).ravel()
+    return (np.frombuffer(masked, np.uint8), final,
+            (final.astype(np.uint16) << 8).tolist(), resets)
 
 
-def _chunks(bits: np.ndarray, s: int) -> np.ndarray:
-    """The bits in s-bit chunks, one per byte, first bit high, zero-padded.
-    Below s = 8, packed in s strided passes, so no temporary outgrows the
-    chunks; an 8-bit row per chunk would take 8/s bytes per bit."""
-    if s == 8:
-        return np.packbits(bits)
-    bits = bits.view(np.uint8)
-    out = np.zeros(-(-bits.size // s), dtype=np.uint8)
-    for j in range(s):
-        column = bits[j::s] << s - 1 - j
-        out[:column.size] |= column
-    return out
-
-
-def _unchunk(chunks: np.ndarray, s: int, n: int) -> np.ndarray:
-    """The first n bits of s-bit chunks, one per byte, first bit high."""
-    if s == 8:
-        return np.unpackbits(chunks, count=n)
-    out = np.empty(chunks.size * s, dtype=np.uint8)
-    for j in range(s):
-        column = out[j::s]
-        np.right_shift(chunks, s - 1 - j, out=column)
-        column &= 1
-    return out[:n]
+def _leaving(history: np.ndarray, pad: int, m: int) -> np.ndarray:
+    """The bytes leaving the window during m output bytes, from a history
+    held behind pad = (-k) mod 8 zero bits, starting at the first's block."""
+    return history[:m] << pad | history[1:m + 1] >> 8 - pad if pad else history[:m]
 
 
 def _generate_steps(state: GeneratorState, ge_pi, ge_q) -> np.ndarray:
-    """`generate`'s steps on `state`, s = min(k, 8) per table lookup: the
-    s bits that leave the window during s outputs are known before them.
+    """`generate`'s steps on `state`, 8 per table lookup: the bits that
+    leave the window during a byte of outputs are known before it, as g
+    bits, less the masked bits m that `_table_loop` or, at orders from
+    `_SCAN_ORDER[pad > 0]` up, `_block_scan` carries.
 
-    The history (window, then outputs) is held in s-bit chunks, one per
-    byte, the window behind pad = (-k) mod s zero bits, so the bits leaving
-    during output chunk b are history bits sb + pad onwards.  pad is 0
-    below order 8, where the window is one chunk, and at multiples of 8;
-    otherwise s = 8 and the leaving chunk straddles two history bytes.
-    The chunks come from `_table_loop`, or from `_block_scan` at orders
-    from `_SCAN_ORDER[pad > 0]` up.
+    The g history (window, then g) is held in bytes, the window behind
+    pad = (-k) mod 8 zero bits, so the bits leaving during output byte b
+    are history bits 8b + pad onwards; they straddle two history bytes
+    unless k is a multiple of 8.  The output is g ^ m.
     """
     k = state.kernel.order
-    s = min(k, 8)
-    pad = -k % s
-    g = _chunks(ge_pi, s)
-    # d << s | g: XORing the leaving chunk in makes the index.
-    dg = (g ^ _chunks(ge_q, s)).astype(np.uint16)
-    dg <<= s
-    dg |= g
-    window = state.context.to_bytes(-(-k // 8), "big")
+    pad = -k % 8
+    g = np.packbits(ge_pi)
+    history = np.concatenate((np.frombuffer(state.context.to_bytes(-(-k // 8), "big"),
+                                            np.uint8), g))
+    # d << 9 | x, the index but for the letter and the m from earlier bytes.
+    dx = (np.packbits(ge_q) ^ g).astype(np.uint32)
+    dx <<= 9
+    dx |= g ^ _leaving(history, pad, g.size)
     letter = pi_letter(state.kernel.variant, state.context)
-    if k >= _SCAN_ORDER[pad > 0]:
-        chunks = _block_scan(window, g, dg, pad, letter)
-    else:
-        chunks = _table_loop(window, g, dg, pad, letter, s)
-    out = _unchunk(chunks, s, ge_pi.size)
+    steps = _block_scan if k >= _SCAN_ORDER[pad > 0] else _table_loop
+    out = np.unpackbits(g ^ steps(dx, k, letter), count=ge_pi.size)
     tail = out[max(out.size - k, 0):]
     state.context = (state.context << tail.size | context_to_int(tail)) & ((1 << k) - 1)
     return out
 
 
-def _table_loop(window: bytes, g, dg, pad: int, letter: int, s: int) -> np.ndarray:
-    """The output chunks, one Python iteration and table lookup each."""
-    masked, final, _ = _byte_steps(s)
-    history = bytearray(window)
+def _table_loop(dx, k: int, letter: int) -> np.ndarray:
+    """The masked bytes, one Python iteration and table lookup each."""
+    masked, carry = _byte_steps(min(k, 8))
+    if k > 8:  # the m leave through the history, so carry the letter alone
+        carry = _wide_steps()[2]
+    pad = -k % 8
+    history = bytearray(-(-k // 8))  # the window's m, all 0
     emit = history.append
-    letter <<= 2 * s
-    # The history is read while it grows, a padded window behind the appends.
-    if pad:
+    letter <<= 8
+    if k <= 8:
+        for dx_b in memoryview(dx):
+            i = dx_b ^ letter
+            emit(masked[i])
+            letter = carry[i]
+    # Above, m is read while it grows, a padded window behind the appends.
+    elif pad:
         ahead = iter(history)
         next(ahead)
-        for g_b, dg_b, h0, h1 in zip(g.tobytes(), memoryview(dg), history, ahead):
-            i = letter | dg_b ^ ((h0 << 8 | h1) >> (8 - pad) & 255)
-            emit(g_b ^ masked[i])
-            letter = final[i]
+        for dx_b, h0, h1 in zip(memoryview(dx), history, ahead):
+            i = dx_b ^ letter ^ ((h0 << 8 | h1) >> (8 - pad) & 255)
+            emit(masked[i])
+            letter = carry[i]
     else:
-        for g_b, dg_b, h0 in zip(g.tobytes(), memoryview(dg), history):
-            i = letter | dg_b ^ h0
-            emit(g_b ^ masked[i])
-            letter = final[i]
-    return np.frombuffer(history, np.uint8, offset=len(window))
+        for dx_b, h0 in zip(memoryview(dx), history):
+            i = dx_b ^ letter ^ h0
+            emit(masked[i])
+            letter = carry[i]
+    return np.frombuffer(history, np.uint8, offset=-(-k // 8))
 
 
-def _block_scan(window: bytes, g, dg, pad: int, letter: int) -> np.ndarray:
-    """The table loop's output bytes at s = 8, a block of k // 8 bytes per
-    round of numpy calls: every bit leaving the window during a block is a
-    history bit from before it.
+def _block_scan(dx, k: int, letter: int) -> np.ndarray:
+    """The table loop's masked bytes above order 8, a block of k // 8 bytes
+    per round of numpy calls: every m leaving the window during a block is
+    from before it.
 
     Within a block, the letter entering each byte is one segmented prefix
     XOR: a byte that resets the letter starts a new segment, and any other
     byte XORs the letter by its final letter from letter 0.
     """
-    masked, first, resets = _scan_tables()
-    start = len(window)
-    history = np.empty(start + g.size, np.uint8)
-    history[:start] = np.frombuffer(window, np.uint8)
-    block = start - (pad > 0)
+    masked, final, _, resets = _wide_steps()
+    pad = -k % 8
+    start = -(-k // 8)
+    history = np.zeros(start + dx.size, np.uint8)
+    block = k // 8
     # Segment starts: position 0 (the letter entering the block) and the
     # position after each resetting byte.
-    positions = np.arange(min(block, g.size) + 1)
-    for b in range(0, g.size, block):
-        m = min(block, g.size - b)
-        h = history[b:b + m + 1]
-        leaving = h[:m] << pad | h[1:] >> (8 - pad) if pad else h[:m]
-        idx = dg[b:b + m] ^ leaving
+    positions = np.arange(min(block, dx.size) + 1)
+    for b in range(0, dx.size, block):
+        m = min(block, dx.size - b)
+        idx = dx[b:b + m] ^ _leaving(history[b:], pad, m)
         step = np.empty(m + 1, np.uint8)
         step[0] = letter
-        first.take(idx, out=step[1:])
+        final.take(idx, out=step[1:])
         anchor = np.empty(m + 1, np.intp)
         anchor[0] = 0
         np.multiply(resets.take(idx), positions[1:m + 1], out=anchor[1:])
@@ -251,9 +245,8 @@ def _block_scan(window: bytes, g, dg, pad: int, letter: int) -> np.ndarray:
         run = np.bitwise_xor.accumulate(step)
         # The letters entering bytes b .. b + m: the run since the segment start.
         letters = run ^ (run ^ step).take(anchor)
-        lookup = np.left_shift(letters[:m], 16, dtype=np.uint32)
-        lookup |= idx
-        np.bitwise_xor(g[b:b + m], masked.take(lookup), out=history[start + b:start + b + m])
+        idx |= np.left_shift(letters[:m], 8, dtype=np.uint32)
+        masked.take(idx, out=history[start + b:start + b + m])
         letter = letters[m]
     return history[start:]
 

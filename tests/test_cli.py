@@ -547,20 +547,26 @@ from twofaced.generator import _byte_steps
 def built():
     return _byte_steps.cache_info().currsize
 
-assert built() == 0
-for argv, stdin in ((["analyze", "--max-block", "4"], b"0110100110010110" * 64),
-                    (["expand", "--seed-hex", "d5ec8ef8", "--order", "8", "--length", "99"],
-                     b"")):
+def run(argv, stdin=b""):
     assert twofaced.cli.run(argv, io.BytesIO(stdin), io.BytesIO(), io.StringIO()) == 0
+
 assert built() == 0
-twofaced.cli.run(["gen", "--order", "8", "--pi", "0.2", "--length", "9", "--seed", "1"],
-                 io.BytesIO(), io.BytesIO(), io.StringIO())
-assert built() == 1  # the probe sees a build
+run(["--help"])
+run(["analyze", "--max-block", "4"], b"0110100110010110" * 64)
+run(["expand", "--seed-hex", "d5ec8ef8", "--order", "8", "--length", "99"])
+assert built() == 0
+for order in (8, 9, 16, 601, 1024, 4099):  # the table loop and the block scan
+    run(["gen", "--order", str(order), "--pi", "0.2", "--length", "9999", "--seed", "1"])
+    assert built() == 1, order
+for order in range(1, 8):
+    run(["gen", "--order", str(order), "--pi", "0.2", "--length", "99", "--seed", "1"])
+    assert built() == 1 + order, order
 """
 
 
 def test_cli_start_up_builds_no_sampler_tables():
-    # the 2^17-entry tables cost start-up time, so only sampling builds them
+    # the 2^17-entry tables cost start-up time, so only sampling builds them:
+    # one for every order from 8 up, and one more for each order below 8
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", _NO_TABLES_PROBE], env=env,

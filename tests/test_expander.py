@@ -419,8 +419,8 @@ def test_decode_matches_reference_long_runs():
     # Below 1 / _GROUP_RUN runs are stepped in groups of 8 under a bound:
     # runs of thousands of steps, and outputs too short for a group (5) or
     # that end in one (8, 9, 15), where the n - i cap and the checked loop
-    # both run.  An empty code decodes to all 0s, each a renormalisation
-    # cascade with no run to group, so a tenth of the length does there.
+    # both run.  An empty code decodes to all 0s, which the reference takes
+    # one renormalisation cascade each, so a tenth of the length does there.
     assert 1e-3 * expander._GROUP_RUN < 1
     code = next_bits(CounterBitSource(0), 3000)
     for precision in (16, 40, 62):
@@ -431,6 +431,29 @@ def test_decode_matches_reference_long_runs():
                 for n in (5, 8, 9, 15, longest):
                     assert bernoulli_decode(code[:length], pi, n, precision) == \
                         want[:n], (precision, pi, length, n)
+
+
+def test_decode_zero_fill_matches_reference():
+    # Once no 1 is left to read and point == low, every later bit is 0 and
+    # the decoder fills them in at once.  That happens from the start for
+    # the empty code and a code of 0s, and, at precision 16 and pi 0.01 or
+    # 0.2, from bit 300 to 1,600 after codes of 11, 17 and 21 bits, whose
+    # zero tails are read once they end.  A 1 after a register of 0s starts
+    # at point == low but must not be filled over.  The reference takes each 0 below
+    # pi 0.01 as a cascade of about log2(1 / pi) renormalisations, so it
+    # decodes a tenth of the length there.
+    head = next_bits(CounterBitSource(0), 200)
+    zeros = np.zeros(70, np.uint8)
+    codes = (zeros[:0], zeros, np.append(zeros, 1), head[:11], head[:17], head[:21],
+             np.concatenate((head[:112], zeros)), np.concatenate((head, zeros)))
+    for precision in (16, 40, 62):
+        for pi in (PI_FLOOR, 1.2645584646472377e-05, 1e-3, 0.01, 0.2):
+            checked = 10_001 if pi >= 0.01 else 5_001
+            for code in codes:
+                got = bernoulli_decode(code, pi, 50_001, precision)
+                assert got[:checked] == _reference_decode(code, pi, checked, precision), \
+                    (precision, pi, code.size)
+                assert bernoulli_decode(code, pi, 9, precision) == got[:9]
 
 
 def test_expand_decodes_through_module_global(monkeypatch):

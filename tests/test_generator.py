@@ -207,10 +207,11 @@ def test_exact_operations_refuse_large_orders_before_allocating(order):
         assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 8, 9])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 7, 8, 9, 16, 601])
 def test_sampler_steps_peak_bytes_per_bit(order):
-    # chunks, index and output take about 5 B/bit at order 1; a padded
-    # 8-bit row per chunk would take 12
+    # the output takes 1 B/bit and the packed bytes and index about 1.5; an
+    # s-bit chunk per byte took about 5 at order 1, and a padded 8-bit row
+    # per chunk would take 12
     n = 10 ** 5
     state = init_uniform(_kernel(order), CounterBitSource(5))
     ge_pi, ge_q = UniformRealSource(CounterBitSource(9)).at_least(n, (0.2, 0.8))
@@ -500,6 +501,33 @@ def test_generate_golden_digests_across_passes(order):
         h.update(context.to_bytes(-(-order // 8), "big"))  # str() refuses 2^17 bits
         h.update(np.packbits(after).tobytes())
     assert h.hexdigest() == _MULTI_PASS_DIGESTS[order]
+
+
+@pytest.mark.parametrize("order", [*range(1, 18), 63, 64, 65, 601, 1024])
+def test_generate_matches_literal_kernel_steps(order):
+    # generate against the kernel rule stepped one bit at a time on the same
+    # `at_least` draws: emit ge_pi where the pi-letter is 0 and ge_q where it
+    # is 1, the letter being the window's parity, XOR 1 for BAR.  In one call
+    # and in calls of 1, 7 and P + 3 bits, which cross a pass boundary.
+    chunks = (1, 7, _PASS + 3)
+    n = sum(chunks)
+    for variant in Variant:
+        for pi in (0.2, 0.77):
+            spec = KernelSpec(variant, order, pi)
+            src = CounterBitSource(order)
+            window = init_uniform(spec, src).context
+            ge_pi, ge_q = UniformRealSource(src).at_least(n, (pi, 1 - pi))
+            want = np.empty(n, np.uint8)
+            for t in range(n):
+                letter = window.bit_count() & 1 ^ (variant is Variant.BAR)
+                want[t] = bit = int(ge_q[t] if letter else ge_pi[t])
+                window = (window << 1 | bit) & ((1 << order) - 1)
+            for calls in ((n,), chunks):
+                src = CounterBitSource(order)
+                state = init_uniform(spec, src)
+                got = [generate(state, c, UniformRealSource(src)).array for c in calls]
+                assert np.array_equal(np.concatenate(got), want), (variant, pi, calls)
+                assert state.context == window
 
 
 @pytest.mark.parametrize("order", [1, 8, 13, 4096, (1 << 17) - 3])
