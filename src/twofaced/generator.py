@@ -119,7 +119,7 @@ def _byte_steps(s: int) -> tuple[bytes, memoryview]:
     d << 9 | letter << 8 | x, with d and x a byte of steps, first step high,
     and x already XORed with the m that leave during the byte from earlier
     bytes, they give the byte's m and letter << 8 | (m << 8 - s) & 255: the
-    final letter and, below order 8, the m that leave during the next byte.
+    final letter and the m that leave during the next byte, up to order 8.
     Below order 8 the table feeds back the m that leave within the byte.
     Built on first use from uint8 broadcasts: 2^17 entries.
     """
@@ -152,8 +152,8 @@ def _wide_steps() -> tuple[np.ndarray, np.ndarray, list[int], np.ndarray]:
 
 
 def _leaving(history: np.ndarray, pad: int, m: int) -> np.ndarray:
-    """The bytes leaving the window during m output bytes, from a history
-    held behind pad = (-k) mod 8 zero bits, starting at the first's block."""
+    """The bytes leaving the window during output bytes b .. b + m - 1, from
+    history bytes b on; the history holds the window behind pad zero bits."""
     return history[:m] << pad | history[1:m + 1] >> 8 - pad if pad else history[:m]
 
 

@@ -437,11 +437,11 @@ def test_decode_zero_fill_matches_reference():
     # Once no 1 is left to read and point == low, every later bit is 0 and
     # the decoder fills them in at once.  That happens from the start for
     # the empty code and a code of 0s, and, at precision 16 and pi 0.01 or
-    # 0.2, from bit 300 to 1,600 after codes of 11, 17 and 21 bits, whose
+    # 0.2, from bit 300 to 1,900 after codes of 11, 17 and 21 bits, whose
     # zero tails are read once they end.  A 1 after a register of 0s starts
-    # at point == low but must not be filled over.  The reference takes each 0 below
-    # pi 0.01 as a cascade of about log2(1 / pi) renormalisations, so it
-    # decodes a tenth of the length there.
+    # at point == low but must not be filled over.  The reference takes
+    # each 0 below pi 0.01 as a cascade of about log2(1 / pi)
+    # renormalisations, so it decodes a tenth of the length there.
     head = next_bits(CounterBitSource(0), 200)
     zeros = np.zeros(70, np.uint8)
     codes = (zeros[:0], zeros, np.append(zeros, 1), head[:11], head[:17], head[:21],
