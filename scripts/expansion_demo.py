@@ -14,7 +14,7 @@ import argparse
 import numpy as np
 
 from twofaced.expander import ExpanderConfig, entropy_inverse, expand
-from twofaced.sources import CounterBitSource, next_bits
+from twofaced.sources import CounterBitSource
 from twofaced.stats import analyze, block_frequencies, report_text
 
 
@@ -40,7 +40,7 @@ def main():
     windows = {m: 0 for m in counts}
     source = CounterBitSource(args.seed)
     for _ in range(args.runs):
-        out = expand(next_bits(source, args.seed_bits), config)
+        out = expand(source.bits(args.seed_bits), config)
         for m in counts:
             stats = block_frequencies(out, m)
             counts[m] += stats.counts
@@ -53,7 +53,7 @@ def main():
         print(f"{m:>3} {windows[m]:>10} {reldev:>24.4f}")
 
     full = args.order + args.length  # h = 1: seed as long as the output
-    seed = next_bits(CounterBitSource(args.seed + 1), full)
+    seed = CounterBitSource(args.seed + 1).bits(full)
     out = expand(seed, ExpanderConfig(order=args.order, target_len=args.length))
     print(f"\nfull-entropy contrast (h = 1, one {args.length}-bit run):")
     print(report_text(analyze(out, args.max_block)), end="")

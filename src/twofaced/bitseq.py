@@ -78,10 +78,6 @@ class BitSequence:
         return obj
 
     @classmethod
-    def zeros(cls, n: int) -> "BitSequence":
-        return cls._wrap(np.zeros(n, dtype=np.uint8))
-
-    @classmethod
     def from_ascii01(cls, text: str) -> "BitSequence":
         return cls._wrap(_bits_from_text(text))
 

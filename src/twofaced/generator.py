@@ -50,7 +50,7 @@ if TYPE_CHECKING:
     from .sources import BitSource
 
 EXTENSION_CAP = 8
-# Draws per `generate` pass, whole groups of 64 for `at_least`.  Measured:
+# Draws per `generate` pass, whole groups of 8 for `at_least`.  Measured:
 # 2^15 keeps a pass's temporaries in a 2 MB L2 cache; 2^16 and 2^17 ran slower.
 _PASS_DRAWS = 1 << 15
 # From these orders up `generate` steps by `_block_scan`: at multiples of 8,

@@ -8,8 +8,9 @@ Two source contracts are used throughout the package:
   draw consumes exactly 53 bits, first bit most significant, and the
   value is ``mantissa / 2**53``.  Its ``at_least`` compares the draws
   with thresholds straight from the source's 64-bit words, without
-  making floats; it agrees with ``reals(n) >= t`` exactly.  Per draw,
-  ``at_least`` holds about 40 bytes of temporaries and ``reals`` 70;
+  making floats: eight draws fill exactly 53 bytes, so each draw is one
+  8-byte load.  It agrees with ``reals(n) >= t`` exactly.  Per draw,
+  ``at_least`` holds about 38 bytes of temporaries and ``reals`` 68;
   ``generate`` bounds them by calling ``at_least`` a pass at a time.
 
 The deterministic implementation is counter-mode splitmix64: block i of
@@ -36,10 +37,13 @@ _MASK53 = np.uint64((1 << 53) - 1)
 
 
 def _finalize(z: np.ndarray) -> np.ndarray:
-    """The splitmix64 finalizer on a uint64 array (arithmetic mod 2^64)."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    """The splitmix64 finalizer, in place on a uint64 array (mod 2^64)."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def mix64(z: int) -> int:
@@ -82,8 +86,10 @@ class CounterBitSource(BitSource):
         first, start = divmod(self._pos, 64)
         # One block more than is kept: a word that starts `start` bits into
         # block i ends in block i + 1.
-        ctr = np.arange(first + 1, first + -(-n // 64) + 2, dtype=np.uint64)
-        z = _finalize(np.uint64(self.seed) + ctr * np.uint64(_GAMMA))
+        z = np.arange(first + 1, first + -(-n // 64) + 2, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self.seed)
+        _finalize(z)
         if start:
             high = z[1:] << np.uint64(64 - start)
             z >>= np.uint64(start)
@@ -142,21 +148,6 @@ def _mark(t: float) -> np.uint64:
     return np.uint64(int(f"{math.ceil(t * 2.0 ** 53) - 1:053b}"[::-1], 2))
 
 
-@functools.cache
-def _field_layout() -> tuple[np.ndarray, ...]:
-    """Word, bit, next word and shift of each of 64 draws' fields in 53
-    words; built on first use.
-
-    A field may run on into the next word, so every column ORs in that
-    word shifted up by 64 - bit.  Where the field fits in its own word,
-    those bits land at 53 or above (a shift of 64 gives 0) and the mask
-    drops them; the last column's next word is clamped.
-    """
-    first = 53 * np.arange(64)
-    word, bit = first >> 6, (first & 63).astype(np.uint64)
-    return word, bit, np.minimum(word + 1, 52), np.uint64(64) - bit
-
-
 class UniformRealSource:
     """Uniform reals in [0, 1) folded from an underlying bit source."""
 
@@ -182,9 +173,10 @@ class UniformRealSource:
         """``reals(n) >= t`` for each threshold t in (0, 1], from one read of
         the same 53n bits.
 
-        53 words hold exactly 64 draws, so draw r of each group of 64 is
-        the 53-bit field f at word 53r >> 6, bit 53r & 63.  The field holds
-        the mantissa's bits in reverse, first (most significant) lowest.
+        Eight draws fill exactly 53 bytes, so draw r of each group of eight
+        is the 53-bit field f read as one little-endian 8-byte load at byte
+        53r >> 3, shifted right by 53r & 7.  The field holds the mantissa's
+        bits in reverse, first (most significant) lowest.
         With T = ceil(t * 2^53) - 1 and x = f ^ rev53(T), u >= t means
         mantissa > T: the highest mantissa bit where they differ is x's
         lowest set bit, and the draw is above T iff f has a 1 there.
@@ -193,22 +185,21 @@ class UniformRealSource:
             raise ValueError("draw count must be nonnegative")
         if not all(0.0 < t <= 1.0 for t in thresholds):
             raise ValueError(f"thresholds must lie in (0, 1], got {thresholds!r}")
-        word, bit, after, rise = _field_layout()
-        rows = np.zeros((-(-n // 64), 53), dtype=np.uint64)  # the last group may be partial
-        words = self.source.words(53 * n)
-        rows.ravel()[:words.size] = words
-        f = rows[:, word] >> bit
-        f |= rows[:, after] << rise
+        groups = -(-n // 8)  # the last group may be partial
+        # A spare group: a group's last load ends a byte into the next, and
+        # the words' padding may run past the last group.
+        buf = np.zeros(53 * groups + 53, dtype=np.uint8)
+        raw = self.source.words(53 * n).astype("<u8", copy=False).view(np.uint8)
+        buf[:raw.size] = raw
+        f = np.empty(8 * groups, dtype=np.uint64)
+        for r in range(8):
+            loads = np.ndarray(groups, "<u8", buf, 53 * r >> 3, (53,))
+            np.right_shift(loads, np.uint64(53 * r & 7), out=f[r::8])
         f &= _MASK53
         out = []
         for t in thresholds:
             x = f ^ _mark(t)
             x &= -x
             x &= f
-            out.append(np.not_equal(x, 0).ravel()[:n])
+            out.append(np.not_equal(x, 0)[:n])
         return out
-
-
-def next_bits(source: BitSource, n: int) -> BitSequence:
-    """Draw n bits from a source as a BitSequence."""
-    return BitSequence._wrap(source.bits(n).copy())

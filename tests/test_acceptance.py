@@ -16,7 +16,7 @@ from twofaced.generator import (StateDistribution, exact_block_distribution,
                                 exact_conditional_entropy, generate,
                                 init_uniform, limit_entropy, propagate)
 from twofaced.kernels import KernelSpec, Variant, cond_prob, int_to_context
-from twofaced.sources import CounterBitSource, UniformRealSource, next_bits
+from twofaced.sources import CounterBitSource, UniformRealSource
 from twofaced.stats import block_frequencies, empirical_conditional_entropy
 from twofaced.transform import transform
 
@@ -221,7 +221,7 @@ def test_c10_seed_expander_contracts():
     inv_err = max(abs(limit_entropy(entropy_inverse(i / 100.0)) - i / 100.0)
                   for i in range(1, 101))
     # full-entropy expansion is the conversion of the raw code bits
-    seed_bits = next_bits(CounterBitSource(9), 68)
+    seed_bits = BitSequence(CounterBitSource(9).bits(68))
     config = ExpanderConfig(order=4, target_len=64)
     identity = expand(seed_bits, config) == transform(seed_bits[4:], seed_bits[:4])
     ok = rate_ok and inv_err <= 1e-12 and identity

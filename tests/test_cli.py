@@ -9,13 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from twofaced.bitseq import decode_stream
+from twofaced.bitseq import BitSequence, decode_stream
 from twofaced.cli import run
 from twofaced.combine import default_config, render_config
 from twofaced.expander import ExpanderConfig, expand
 from twofaced.generator import generate, init_uniform
 from twofaced.kernels import KernelSpec, Variant
-from twofaced.sources import CounterBitSource, UniformRealSource, next_bits
+from twofaced.sources import CounterBitSource, UniformRealSource
 
 
 def invoke(argv, stdin=b""):
@@ -73,7 +73,7 @@ def test_gen_matches_library():
 
 
 def test_gen_fixed_init_and_entropy_file(tmp_path):
-    entropy = next_bits(CounterBitSource(1), 64 * 53)
+    entropy = BitSequence(CounterBitSource(1).bits(64 * 53))
     path = tmp_path / "bits.bin"
     path.write_bytes(entropy.to_packed())
     code, out, _ = invoke(["gen", "--order", "2", "--pi", "0.3", "--length", "8",
@@ -218,7 +218,7 @@ def test_end_to_end_signature_pipeline():
 
 
 def test_expand_seed_hex_matches_library():
-    seed_bits = next_bits(CounterBitSource(21), 128)
+    seed_bits = BitSequence(CounterBitSource(21).bits(128))
     code, out, _ = invoke(["expand", "--seed-hex", seed_bits.to_hex(),
                            "--order", "16", "--length", "512"])
     want = expand(seed_bits, ExpanderConfig(order=16, target_len=512))
@@ -226,7 +226,7 @@ def test_expand_seed_hex_matches_library():
 
 
 def test_expand_seed_file(tmp_path):
-    seed_bits = next_bits(CounterBitSource(22), 64)
+    seed_bits = BitSequence(CounterBitSource(22).bits(64))
     path = tmp_path / "seed.bin"
     path.write_bytes(seed_bits.to_packed())
     code, out, _ = invoke(["expand", "--seed-file", str(path),
@@ -242,7 +242,7 @@ def test_expand_runtime_error_exit_code():
 
 
 def test_expand_precision_out_of_range_exit_code():
-    seed_hex = next_bits(CounterBitSource(21), 128).to_hex()
+    seed_hex = BitSequence(CounterBitSource(21).bits(128)).to_hex()
     for precision in ("15", "63"):
         code, out, err = invoke(["expand", "--seed-hex", seed_hex, "--order", "16",
                                  "--length", "512", "--precision", precision])
@@ -439,7 +439,7 @@ _ANALYZE_DIGESTS = {
 def test_analyze_golden_digests():
     _, gen, _ = invoke(["gen", "--order", "8", "--pi", "0.2", "--length", "100000",
                         "--seed", "9"])
-    seed_hex = next_bits(CounterBitSource(21), 128).to_hex()
+    seed_hex = BitSequence(CounterBitSource(21).bits(128)).to_hex()
     _, expanded, _ = invoke(["expand", "--seed-hex", seed_hex, "--order", "16",
                              "--length", "50000"])
     got = {}
@@ -526,7 +526,7 @@ def test_gen_entropy_file_golden_digest_and_one_bit_short(tmp_path):
     # then one fewer.  sha256 of stdout computed before the draws were
     # compared as 64-bit words.
     path = tmp_path / "entropy.bin"
-    packed = next_bits(CounterBitSource(77), 53016).to_packed()
+    packed = BitSequence(CounterBitSource(77).bits(53016)).to_packed()
     argv = ["gen", "--order", "9", "--pi", "0.2", "--length", "1000", "--variant", "bar",
             "--entropy-file", str(path), "--format", "hex"]
     path.write_bytes(packed)

@@ -21,7 +21,7 @@ bit_lists = st.lists(st.integers(0, 1), max_size=64)
 def test_xor_examples():
     assert BitSequence("10110") ^ BitSequence("01010") == BitSequence("11100")
     a = BitSequence("110011")
-    assert a ^ a == BitSequence.zeros(6)
+    assert a ^ a == BitSequence(np.zeros(6, np.uint8))
     with pytest.raises(ValueError):
         BitSequence("10") ^ BitSequence("1")
 
@@ -32,7 +32,7 @@ def test_xor_algebra(a, b, c):
     a, b, c = BitSequence(a[:n]), BitSequence(b[:n]), BitSequence(c[:n])
     assert a ^ b == b ^ a
     assert (a ^ b) ^ c == a ^ (b ^ c)
-    assert a ^ BitSequence.zeros(n) == a
+    assert a ^ BitSequence(np.zeros(n, np.uint8)) == a
 
 
 def test_cut_sequence_validation():
@@ -79,7 +79,8 @@ def test_single_component_prefix():
 
 def test_insufficient_components():
     with pytest.raises(ConfigurationError):
-        twice_two_faced([lambda n: BitSequence.zeros(n)], CutSequence((2,)), 5)
+        twice_two_faced([lambda n: BitSequence(np.zeros(n, np.uint8))],
+                        CutSequence((2,)), 5)
 
 
 def test_components_instantiated_lazily():
@@ -88,7 +89,7 @@ def test_components_instantiated_lazily():
     def make(tag):
         def factory(n):
             calls.append(tag)
-            return BitSequence.zeros(n)
+            return BitSequence(np.zeros(n, np.uint8))
         return factory
 
     twice_two_faced([make(1), make(2), make(3)], CutSequence((4, 8)), 4)

@@ -11,7 +11,7 @@ from twofaced.expander import (PI_FLOOR, ExpanderConfig, _freq_split,
                                bernoulli_decode, bernoulli_encode,
                                entropy_inverse, expand)
 from twofaced.generator import limit_entropy
-from twofaced.sources import CounterBitSource, UniformRealSource, next_bits
+from twofaced.sources import CounterBitSource, UniformRealSource
 from twofaced.transform import transform
 
 bit_lists = st.lists(st.integers(0, 1), max_size=256)
@@ -61,7 +61,7 @@ def test_expander_config_validation():
 def test_coder_rejects_the_configs_out_of_range_precisions():
     # At 3 bits the split gave f0 = 0 and 7 bits encoded to one; 15 and 63
     # were taken though ExpanderConfig refuses them.
-    x = next_bits(CounterBitSource(3), 7)
+    x = BitSequence(CounterBitSource(3).bits(7))
     for precision in (3, 15, 63):
         for call in (lambda: ExpanderConfig(2, 10, precision),
                      lambda: bernoulli_encode(x, 0.3, precision),
@@ -90,12 +90,12 @@ def test_encode_length_at_half():
     # the mid-split model is incompressible: one emitted bit per symbol
     # plus the terminator
     for n in (1, 8, 100):
-        x = next_bits(CounterBitSource(n), n)
+        x = BitSequence(CounterBitSource(n).bits(n))
         assert abs(len(bernoulli_encode(x, 0.5)) - n) <= 2
 
 
 def test_decode_passthrough_at_half():
-    code = next_bits(CounterBitSource(3), 64)
+    code = BitSequence(CounterBitSource(3).bits(64))
     out = bernoulli_decode(code, 0.5, 40)
     assert out == code[:40]
 
@@ -132,7 +132,7 @@ def test_compression_rate_near_entropy():
 
 
 def test_decode_random_code_frequency():
-    code = next_bits(CounterBitSource(0), 10 ** 4)
+    code = BitSequence(CounterBitSource(0).bits(10 ** 4))
     n = round(10 ** 4 / limit_entropy(0.2))
     out = bernoulli_decode(code, 0.2, n)
     freq0 = 1.0 - out.array.mean()
@@ -154,14 +154,14 @@ def test_decode_edge_args():
 
 
 def test_expand_deterministic():
-    seed = next_bits(CounterBitSource(55), 100)
+    seed = BitSequence(CounterBitSource(55).bits(100))
     config = ExpanderConfig(order=8, target_len=2000)
     assert expand(seed, config) == expand(seed, config)
     assert len(expand(seed, config)) == 2000
 
 
 def test_expand_full_entropy_equals_transform_of_code():
-    seed = next_bits(CounterBitSource(9), 68)
+    seed = BitSequence(CounterBitSource(9).bits(68))
     config = ExpanderConfig(order=4, target_len=64)  # h = 1 exactly
     assert expand(seed, config) == transform(seed[4:], seed[:4])
 
@@ -169,9 +169,9 @@ def test_expand_full_entropy_equals_transform_of_code():
 def test_expand_argument_errors():
     config = ExpanderConfig(order=8, target_len=100)
     with pytest.raises(ValueError):
-        expand(BitSequence.zeros(8), config)  # not longer than the order
+        expand(BitSequence(np.zeros(8, np.uint8)), config)  # not longer than the order
     with pytest.raises(ValueError):
-        expand(next_bits(CounterBitSource(1), 200),
+        expand(BitSequence(CounterBitSource(1).bits(200)),
                ExpanderConfig(order=8, target_len=100))  # h > 1
 
 
@@ -180,7 +180,7 @@ def test_expand_block_law_is_exactly_uniform_over_initial_words():
     # the initial word, so uniform initial words give exactly uniform
     # order-length blocks; checked by enumeration.
     k, n = 6, 120
-    code = next_bits(CounterBitSource(5), 54)
+    code = BitSequence(CounterBitSource(5).bits(54))
     pi = entropy_inverse(54 / n)
     decoded = bernoulli_decode(code, pi, n)
     seen_per_offset = [set() for _ in range(n - k + 1)]
@@ -205,7 +205,7 @@ def test_expand_aggregated_block_statistics():
     windows = {m: 0 for m in agg}
     src = CounterBitSource(2024)
     for _ in range(400):
-        out = expand(next_bits(src, 128), config)
+        out = expand(BitSequence(src.bits(128)), config)
         for m in agg:
             stats = block_frequencies(out, m)
             agg[m] += stats.counts
@@ -269,7 +269,7 @@ def _reference_decode(code, pi, n, precision=expander.DEFAULT_PRECISION):
 # pi, n, precision) for length in (0, 1, 64, 1000) and n in (1, 17, 5000),
 # one digest per (pi, precision) for precision in (16, 24, 62); computed
 # with the per-symbol decoder above.
-_GOLDEN_CODE = next_bits(CounterBitSource(4), 1000)
+_GOLDEN_CODE = BitSequence(CounterBitSource(4).bits(1000))
 _GOLDEN_DECODE = {
     1e-9: (
         "4b29943b73fa11ed06a01e9bedd5a674a0517af656279eb2b4cee70ece757d57",
@@ -370,7 +370,7 @@ def test_encode_golden_digests(pi):
     for precision, want in zip((16, 24, 62), _GOLDEN_ENCODE[pi]):
         h = hashlib.sha256()
         for n in (0, 1, 64, 5000):
-            for x in (_bernoulli(pi, n, n), next_bits(CounterBitSource(n), n)):
+            for x in (_bernoulli(pi, n, n), BitSequence(CounterBitSource(n).bits(n))):
                 code = bernoulli_encode(x, pi, precision)
                 h.update(code.to_ascii01().encode() + b"\n")
         assert h.hexdigest() == want, precision
@@ -378,7 +378,7 @@ def test_encode_golden_digests(pi):
 
 def test_expand_golden_digest_at_benchmark_shape():
     # 128-bit seed, order 16: 112 code bits decoded at pi ~ 1.26e-5
-    seed = next_bits(CounterBitSource(5), 128)
+    seed = BitSequence(CounterBitSource(5).bits(128))
     out = expand(seed, ExpanderConfig(order=16, target_len=500_000))
     assert hashlib.sha256(out.to_packed()).hexdigest() == (
         "43f146697d474a7b586fdf498f715137ca456cf0deb0a022dfb0e0e9bfb6b3aa")
@@ -411,7 +411,7 @@ def test_decode_matches_reference_every_precision():
 def test_decode_matches_reference_long_runs():
     # Narrow registers and long outputs make thousands of renormalisations,
     # enough that a run ends exactly on a threshold now and then.
-    code = next_bits(CounterBitSource(0), 20000)
+    code = BitSequence(CounterBitSource(0).bits(20000))
     for precision in (16, 17, 18):
         for pi in (0.01, 0.3, 0.75, 0.99):
             assert bernoulli_decode(code, pi, 20000, precision) == \
@@ -422,7 +422,7 @@ def test_decode_matches_reference_long_runs():
     # both run.  An empty code decodes to all 0s, which the reference takes
     # one renormalisation cascade each, so a tenth of the length does there.
     assert 1e-3 * expander._GROUP_RUN < 1
-    code = next_bits(CounterBitSource(0), 3000)
+    code = BitSequence(CounterBitSource(0).bits(3000))
     for precision in (16, 40, 62):
         for pi in (PI_FLOOR, 1.2645584646472377e-05, 1e-3):
             for length in (0, 112, 3000):
@@ -442,7 +442,7 @@ def test_decode_zero_fill_matches_reference():
     # at point == low but must not be filled over.  The reference takes
     # each 0 below pi 0.01 as a cascade of about log2(1 / pi)
     # renormalisations, so it decodes a tenth of the length there.
-    head = next_bits(CounterBitSource(0), 200)
+    head = BitSequence(CounterBitSource(0).bits(200))
     zeros = np.zeros(70, np.uint8)
     codes = (zeros[:0], zeros, np.append(zeros, 1), head[:11], head[:17], head[:21],
              np.concatenate((head[:112], zeros)), np.concatenate((head, zeros)))
@@ -458,7 +458,7 @@ def test_decode_zero_fill_matches_reference():
 
 def test_expand_decodes_through_module_global(monkeypatch):
     # The benchmark's `expander` layer is traced by rebinding this name.
-    seed = next_bits(CounterBitSource(6), 64)
+    seed = BitSequence(CounterBitSource(6).bits(64))
     config = ExpanderConfig(order=8, target_len=1000)
     want = expand(seed, config)
     calls = []

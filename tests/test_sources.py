@@ -7,8 +7,7 @@ from twofaced.bitseq import BitSequence
 from twofaced.errors import SourceExhaustedError
 from twofaced._reference import ReplayRealSource
 from twofaced.sources import (CounterBitSource, FileBitSource, OSBitSource,
-                              ReplayBitSource, UniformRealSource, mix64,
-                              next_bits)
+                              ReplayBitSource, UniformRealSource, mix64)
 from twofaced.stats import block_frequencies
 
 _M64 = (1 << 64) - 1
@@ -81,15 +80,15 @@ def test_file_source_round_trip(tmp_path):
     path = tmp_path / "entropy.bin"
     path.write_bytes(seq.to_packed())
     src = FileBitSource(path)
-    assert next_bits(src, 24) == seq
+    assert BitSequence(src.bits(24)) == seq
     with pytest.raises(SourceExhaustedError):
         src.bits(1)
 
 
-def test_next_bits_returns_bitsequence():
-    out = next_bits(CounterBitSource(1), 10)
+def test_source_bits_wrap_as_bitsequence():
+    out = BitSequence(CounterBitSource(1).bits(10))
     assert isinstance(out, BitSequence) and len(out) == 10
-    assert len(next_bits(CounterBitSource(1), 0)) == 0
+    assert len(BitSequence(CounterBitSource(1).bits(0))) == 0
 
 
 def test_uniform_reals_construction():
@@ -118,7 +117,7 @@ def test_replay_real_source():
 
 def test_counter_source_passes_own_battery():
     # harness sanity: the deterministic source looks uniform to the suite
-    bits = next_bits(CounterBitSource(314159), 10 ** 6)
+    bits = BitSequence(CounterBitSource(314159).bits(10 ** 6))
     for m in range(1, 11):
         assert block_frequencies(bits, m).p_value > 1e-4
 
@@ -149,7 +148,9 @@ _THRESHOLDS = (0.2, 0.77, 1e-9, 0.5, 1 - 1e-12, 1 / 3)
 _THRESHOLDS += tuple(1 - t for t in _THRESHOLDS)
 
 
-@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 100003])
+# 7, 8 and 9 are the edges of the eight-draw period; at 8 the last load
+# reads into the spare group.
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 100003])
 @pytest.mark.parametrize("seed", [9, 1512, _M64])
 def test_at_least_equals_compared_reals(seed, n):
     # every start offset within a word, set by a prior read of skip bits

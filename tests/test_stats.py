@@ -12,7 +12,7 @@ from twofaced.bitseq import BitSequence
 from twofaced.errors import CapacityError
 from twofaced.generator import generate, init_uniform
 from twofaced.kernels import KernelSpec, Variant
-from twofaced.sources import CounterBitSource, UniformRealSource, next_bits
+from twofaced.sources import CounterBitSource, UniformRealSource
 from twofaced.stats import (BLOCK_LEN_CAP, _gammaincc, analyze,
                             block_frequencies, chi_square_pvalue,
                             empirical_conditional_entropy, occurrence_count,
@@ -83,7 +83,7 @@ def _brute_force_count(seq, word):
 @pytest.mark.parametrize("m", [60, 61, 64, 200])
 def test_occurrence_count_long_patterns_match_brute_force(m):
     periodic = [1, 1, 0] * 400  # every third window of any length is a hit
-    rand = next_bits(CounterBitSource(m), 1500).array.tolist()
+    rand = BitSequence(CounterBitSource(m).bits(1500)).array.tolist()
     for seq in (periodic, rand):
         for start in (0, 1, 700):
             word = seq[start:start + m]
@@ -100,7 +100,7 @@ def _occurrence_digest():
     # text search; the lengths cover both sides of the fork.  Hits are
     # words read off the stream, misses the same words with the last bit
     # flipped.
-    seq = next_bits(CounterBitSource(31), 10 ** 5).array
+    seq = BitSequence(CounterBitSource(31).bits(10 ** 5)).array
     h = hashlib.sha256()
     for m in (1, 2, 9, 16, 24, 59, 60, 61, 200):
         for start in (0, 777, 54321, 10 ** 5 - m):
@@ -138,7 +138,7 @@ def test_block_frequencies_balanced():
 
 
 def test_block_frequencies_caps_and_errors():
-    seq = BitSequence.zeros(100)
+    seq = BitSequence(np.zeros(100, np.uint8))
     with pytest.raises(CapacityError):
         block_frequencies(seq, 25)
     with pytest.raises(ValueError):
@@ -226,13 +226,13 @@ def test_entropy_missing_contexts_warn():
 
 def test_entropy_caps():
     with pytest.raises(CapacityError):
-        empirical_conditional_entropy(BitSequence.zeros(100), 25)
+        empirical_conditional_entropy(BitSequence(np.zeros(100, np.uint8)), 25)
     with pytest.raises(ValueError):
-        empirical_conditional_entropy(BitSequence.zeros(100), 0)
+        empirical_conditional_entropy(BitSequence(np.zeros(100, np.uint8)), 0)
 
 
 def test_entropy_truly_random_sanity():
-    seq = next_bits(CounterBitSource(271828), 10 ** 7)
+    seq = BitSequence(CounterBitSource(271828).bits(10 ** 7))
     for m in range(1, 11):
         assert empirical_conditional_entropy(seq, m) == pytest.approx(1.0, abs=0.01)
 
@@ -343,7 +343,7 @@ def test_gammaincc_raises_instead_of_looping_without_convergence():
 
 
 def test_reports():
-    seq = next_bits(CounterBitSource(4), 5000)
+    seq = BitSequence(CounterBitSource(4).bits(5000))
     stats = analyze(seq, 4)
     text = report_text(stats)
     assert len(text.strip().splitlines()) == 4
@@ -358,9 +358,9 @@ def test_reports():
 
 def test_analyze_range_validation():
     with pytest.raises(ValueError):
-        analyze(BitSequence.zeros(10), 0)
+        analyze(BitSequence(np.zeros(10, np.uint8)), 0)
     with pytest.raises(ValueError):
-        analyze(BitSequence.zeros(10), 2, 3)
+        analyze(BitSequence(np.zeros(10, np.uint8)), 2, 3)
 
 
 # ---- the one-histogram fold against the per-length counter ----
@@ -414,7 +414,7 @@ def test_analyze_matches_per_length_counter(bits, data):
 def test_analyze_matches_per_length_counter_at_block_len_cap():
     # The top of the range: fold from 2^24 cells, one window and many.
     for n in (BLOCK_LEN_CAP, 300):
-        bits = next_bits(CounterBitSource(n), n).array
+        bits = BitSequence(CounterBitSource(n).bits(n)).array
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             results = analyze(bits, BLOCK_LEN_CAP, BLOCK_LEN_CAP - 2)
@@ -425,7 +425,7 @@ def test_analyze_matches_per_length_counter_at_block_len_cap():
 
 def test_analyze_matches_per_length_counter_on_long_stream():
     # m = 17 needs 32-bit windows; 400,009 bits span four 2^17-window chunks
-    bits = next_bits(CounterBitSource(17), 400_009).array
+    bits = BitSequence(CounterBitSource(17).bits(400_009)).array
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         results = analyze(bits, 17)
@@ -452,7 +452,7 @@ def _low_count_texts(n, ms):
 def test_analyze_fails_at_first_bad_length(n, max_block, min_block, error, message):
     # The first failing length in ascending order is named, after the
     # low-count warning of every length below it, once each, in order.
-    bits = next_bits(CounterBitSource(3), n)
+    bits = BitSequence(CounterBitSource(3).bits(n))
     first_bad = int(message.split()[2])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -464,7 +464,7 @@ def test_analyze_fails_at_first_bad_length(n, max_block, min_block, error, messa
 
 
 def test_analyze_low_count_warning_once_per_length_ascending():
-    bits = next_bits(CounterBitSource(8), 200)
+    bits = BitSequence(CounterBitSource(8).bits(200))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         analyze(bits, 12, 2)

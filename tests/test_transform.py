@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from twofaced.bitseq import BitSequence
 from twofaced.generator import StateDistribution, exact_block_distribution
 from twofaced.kernels import KernelSpec, Variant, int_to_context
-from twofaced.sources import CounterBitSource, next_bits
+from twofaced.sources import CounterBitSource
 from twofaced._reference import m_select_definitional
 from twofaced.transform import inverse_transform, transform
 
@@ -107,7 +107,7 @@ _CONVERSION_DIGESTS = {
 
 
 def test_conversion_golden_digests():
-    x = next_bits(CounterBitSource(9), 5000)
+    x = BitSequence(CounterBitSource(9).bits(5000))
     words = ("1", "1011001", "0110100110010111")
     got = {}
     for variant, op in _CONVERSION_DIGESTS:
@@ -126,8 +126,8 @@ def test_conversion_golden_digest_at_edge_lengths():
     h = hashlib.sha256()
     cases = [(k, n) for k in (1, 7, 1000, 1 << 17) for n in (0, 1, k, k + 1)]
     for k, n in cases + [(1 << 17, 10 ** 5)]:
-        v = next_bits(CounterBitSource(k), k)
-        x = next_bits(CounterBitSource(n + 5), n)
+        v = BitSequence(CounterBitSource(k).bits(k))
+        x = BitSequence(CounterBitSource(n + 5).bits(n))
         for variant in Variant:
             for fn in (transform, inverse_transform):
                 y = fn(x, v, variant)
