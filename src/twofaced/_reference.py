@@ -10,7 +10,12 @@ here restates a definition the production code implements another way:
 * `generate_by_conversion` samples a kernel by thresholding the draws
   into a biased stream and converting it; it agrees with
   `generator.generate` in law, not bit for bit.
-* `window_counts` rebuilds the m-windows from the bits for each block
+* `StateDistribution`, `propagate`, `exact_block_distribution` and
+  `chain_conditional_entropy` run the chain on the 2^k context words,
+  where `generator.exact_conditional_entropy` is the closed form.  They
+  cap the order and the window length before allocating a law.
+* `occurrence_count` ANDs m shifted comparisons for one word and
+  `window_counts` rebuilds the m-windows from the bits for each block
   length, where `stats` folds every length down from one histogram.
 * `ReplayRealSource` replays canned uniform draws; its `at_least`
   compares the floats, where `UniformRealSource.at_least` compares bit
@@ -18,15 +23,20 @@ here restates a definition the production code implements another way:
 """
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .bitseq import BitSequence, as_bit_array
-from .errors import SourceExhaustedError
+from .errors import CapacityError, SourceExhaustedError
 from .generator import GeneratorState
-from .kernels import KernelSpec, Variant, _check_bit, as_context, context_to_int
+from .kernels import (KernelSpec, KernelTable, TABLE_ORDER_CAP, Variant, _check_bit,
+                      as_context, context_to_int, kernel_table)
+from .stats import BLOCK_LEN_CAP, conditional_entropy
 from .transform import transform
+
+EXTENSION_CAP = 8
 
 
 def flipped(variant: Variant) -> Variant:
@@ -83,6 +93,119 @@ def generate_by_conversion(state: GeneratorState, n: int, reals) -> BitSequence:
     y = transform(reals.reals(n) >= kernel.pi, v, kernel.variant)
     state.context = context_to_int(np.concatenate([v, y.array])[-kernel.order:])
     return y
+
+
+def _check_order_cap(order: int) -> None:
+    if order > TABLE_ORDER_CAP:
+        raise CapacityError(f"order {order} exceeds exact-computation cap {TABLE_ORDER_CAP}")
+
+
+@dataclass(frozen=True)
+class StateDistribution:
+    """A probability vector over the 2^order context words.
+
+    Indexed by the big-endian integer encoding of the word.  Entries are
+    nonnegative and sum to 1 within 1e-12.
+    """
+
+    order: int
+    probs: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        p = np.asarray(self.probs, dtype=np.float64)
+        if p.shape != (1 << self.order,):
+            raise ValueError(f"expected {1 << self.order} entries, got {p.shape}")
+        if p.min() < 0.0:
+            raise ValueError("probabilities must be nonnegative")
+        if abs(float(p.sum()) - 1.0) > 1e-12:
+            raise ValueError("probabilities must sum to 1 within 1e-12")
+        p.setflags(write=False)
+        object.__setattr__(self, "probs", p)
+
+    @classmethod
+    def uniform(cls, order: int) -> "StateDistribution":
+        _check_order_cap(order)
+        return cls(order, np.full(1 << order, 2.0 ** -order))
+
+    @classmethod
+    def point_mass(cls, order: int, word) -> "StateDistribution":
+        _check_order_cap(order)
+        p = np.zeros(1 << order)
+        p[context_to_int(as_context(word, order))] = 1.0
+        return cls(order, p)
+
+
+def _extend(p: np.ndarray, table: KernelTable) -> np.ndarray:
+    """Law of the (t+1)-windows from the law `p` of the t-windows, t >= order:
+    the new letter's probability is read from the last `order` bits."""
+    out = np.empty(p.size << 1)
+    rows = p.reshape(-1, table.p0.size)
+    halves = out.reshape(rows.shape + (2,))
+    np.multiply(rows, table.p0, out=halves[..., 0])
+    np.multiply(rows, table.p1, out=halves[..., 1])
+    return out
+
+
+def propagate(kernel: KernelSpec, dist: StateDistribution,
+              steps: int = 1) -> StateDistribution:
+    """Advance a context distribution through `steps` chain transitions."""
+    return StateDistribution(
+        kernel.order, exact_block_distribution(kernel, dist, steps, kernel.order))
+
+
+def exact_block_distribution(kernel: KernelSpec, initial: StateDistribution,
+                             offset: int, block_len: int) -> np.ndarray:
+    """Exact law of the length-`block_len` window starting `offset` letters
+    after the initial window.
+
+    Returns a vector over all words of that length, indexed big-endian.
+    Each chain step extends the window by one letter and, for the
+    `offset` steps, then sums the oldest letter out; what is left is
+    marginalized (block_len < order) or extended (block_len > order).
+    """
+    k = kernel.order
+    m = block_len
+    if initial.order != k:
+        raise ValueError("initial distribution order does not match kernel order")
+    if offset < 0:
+        raise ValueError("offset must be nonnegative")
+    if m < 1:
+        raise ValueError("block length must be positive")
+    if m > min(k + EXTENSION_CAP, BLOCK_LEN_CAP):
+        raise CapacityError(
+            f"block length {m} exceeds cap min(order+{EXTENSION_CAP}, {BLOCK_LEN_CAP})")
+    table = kernel_table(kernel)
+    p = initial.probs
+    for _ in range(offset):
+        p = _extend(p, table).reshape(2, -1).sum(axis=0)
+    if m < k:
+        return p.reshape(1 << m, -1).sum(axis=1)
+    for _ in range(k, m):
+        p = _extend(p, table)
+    return p
+
+
+def chain_conditional_entropy(kernel: KernelSpec, m: int) -> float:
+    """`generator.exact_conditional_entropy` from the chain's stationary
+    law of the m-windows."""
+    return conditional_entropy(exact_block_distribution(
+        kernel, StateDistribution.uniform(kernel.order), 0, m))
+
+
+def occurrence_count(seq, u) -> int:
+    """Number of overlapping occurrences of the word u in seq."""
+    bits = as_bit_array(seq)
+    word = as_bit_array(u)
+    m = word.size
+    if m < 1:
+        raise ValueError("pattern must contain at least one bit")
+    if m > bits.size:
+        raise ValueError(f"pattern length {m} exceeds sequence length {bits.size}")
+    count = bits.size - m + 1
+    hit = np.ones(count, dtype=bool)
+    for j in range(m):
+        hit &= bits[j:j + count] == word[j]
+    return int(np.count_nonzero(hit))
 
 
 def window_counts(seq, m: int) -> np.ndarray:

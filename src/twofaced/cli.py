@@ -10,11 +10,13 @@ packed, or hex.
 Every stochastic command requires an explicit entropy flag (`--seed`,
 `--os-entropy`, or `--entropy-file`); there is no silent
 nondeterminism.  Exit codes: 0 success, 2 usage error, 1 runtime error.
+A warning that a command raises prints as a `twofaced <cmd>: warning:` line.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 # Each start compiles only what its command runs: stats, combine and sources
 # are imported inside the commands that use them.  The names below stay
@@ -247,16 +249,19 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command](args, args.parser, stdin, stdout)
-    except SystemExit as exc:  # parser.error from semantic validation
-        return int(exc.code or 0)
-    except (ValueError, CapacityError, SourceExhaustedError, OSError) as exc:
-        print(f"twofaced {args.command}: {exc}", file=stderr)
-        return 1
-    except MemoryError as exc:  # e.g. numpy refusing a huge --length
-        print(f"twofaced {args.command}: {str(exc) or 'out of memory'}", file=stderr)
-        return 1
+    prefix = f"twofaced {args.command}:"
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda msg, *_: print(prefix, "warning:", msg, file=stderr)
+        try:
+            return _COMMANDS[args.command](args, args.parser, stdin, stdout)
+        except SystemExit as exc:  # parser.error from semantic validation
+            return int(exc.code or 0)
+        except (ValueError, CapacityError, SourceExhaustedError, OSError) as exc:
+            print(prefix, exc, file=stderr)
+            return 1
+        except MemoryError as exc:  # e.g. numpy refusing a huge --length
+            print(prefix, str(exc) or "out of memory", file=stderr)
+            return 1
 
 
 def main() -> None:

@@ -18,8 +18,8 @@ construction defines it.  With `default_config` the orders double up
 to about n, so about log2(n) components each emit n bits and the
 combination costs Θ(n log n).  The k-bit windows of the large-order
 components cross between integer and bit form in time linear in k, and
-from order 1024 up the sampler steps a block of k outputs per round of
-numpy calls, so those components cost less per bit than the small ones.
+from `generator._SCAN_ORDER` up the sampler steps about k outputs per round
+of numpy calls, so those components cost less per bit than the small ones.
 """
 from __future__ import annotations
 

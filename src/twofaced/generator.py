@@ -1,4 +1,4 @@
-"""Sequential sampling from a kernel and exact finite-horizon analysis.
+"""Sequential sampling from a kernel, and its conditional entropies.
 
 Sampling follows a fixed inverse-transform convention so that runs are
 bit-reproducible: at each step the generator draws a uniform real u and
@@ -24,32 +24,24 @@ per byte but the scan one more shift per block, so there the two tied
 between 513 and 545, and from 577 up the scan won, taking 0.76 of the
 loop's time at 705-769 and 0.22 at 2^17 - 3.
 
-The exact operations treat the chain on 2^k context states explicitly:
-`propagate` advances a state distribution, `exact_block_distribution`
-yields the law of a length-m window at a given offset, and
-`exact_conditional_entropy` evaluates the order-m conditional entropy of
-the stationary (uniform-initial) process in bits per letter.  These are
-desk-scale tools; they are capped at 2^order states and at windows of
-min(order+8, 24) bits.
+`exact_conditional_entropy` is the entropy staircase in closed form; the
+2^k-state chain in `twofaced._reference` checks it.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .bitseq import BitSequence
-from .errors import CapacityError
-from .kernels import (KernelSpec, KernelTable, TABLE_ORDER_CAP, as_context,
-                      context_to_int, int_to_context, kernel_table, pi_letter)
+from .kernels import KernelSpec, as_context, context_to_int, int_to_context, pi_letter
 
 if TYPE_CHECKING:
     from .sources import BitSource
 
-EXTENSION_CAP = 8
 # Draws per `generate` pass, whole groups of 8 for `at_least`.  Measured:
 # 2^15 keeps a pass's temporaries in a 2 MB L2 cache; 2^16 and 2^17 ran slower.
 _PASS_DRAWS = 1 << 15
@@ -251,108 +243,14 @@ def _block_scan(dx, k: int, letter: int) -> np.ndarray:
     return history[start:]
 
 
-def _check_order_cap(order: int) -> None:
-    if order > TABLE_ORDER_CAP:
-        raise CapacityError(f"order {order} exceeds exact-computation cap {TABLE_ORDER_CAP}")
-
-
-@dataclass(frozen=True)
-class StateDistribution:
-    """A probability vector over the 2^order context words.
-
-    Indexed by the big-endian integer encoding of the word.  Entries are
-    nonnegative and sum to 1 within 1e-12.
-    """
-
-    order: int
-    probs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=np.float64)
-        if p.shape != (1 << self.order,):
-            raise ValueError(f"expected {1 << self.order} entries, got {p.shape}")
-        if p.min() < 0.0:
-            raise ValueError("probabilities must be nonnegative")
-        if abs(float(p.sum()) - 1.0) > 1e-12:
-            raise ValueError("probabilities must sum to 1 within 1e-12")
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
-
-    @classmethod
-    def uniform(cls, order: int) -> "StateDistribution":
-        _check_order_cap(order)
-        return cls(order, np.full(1 << order, 2.0 ** -order))
-
-    @classmethod
-    def point_mass(cls, order: int, word) -> "StateDistribution":
-        _check_order_cap(order)
-        p = np.zeros(1 << order)
-        p[context_to_int(as_context(word, order))] = 1.0
-        return cls(order, p)
-
-
-def _extend(p: np.ndarray, table: KernelTable) -> np.ndarray:
-    """Law of the (t+1)-windows from the law `p` of the t-windows, t >= order:
-    the new letter's probability is read from the last `order` bits."""
-    out = np.empty(p.size << 1)
-    rows = p.reshape(-1, table.p0.size)
-    halves = out.reshape(rows.shape + (2,))
-    np.multiply(rows, table.p0, out=halves[..., 0])
-    np.multiply(rows, table.p1, out=halves[..., 1])
-    return out
-
-
-def propagate(kernel: KernelSpec, dist: StateDistribution,
-              steps: int = 1) -> StateDistribution:
-    """Advance a context distribution through `steps` chain transitions."""
-    return StateDistribution(
-        kernel.order, exact_block_distribution(kernel, dist, steps, kernel.order))
-
-
-def exact_block_distribution(kernel: KernelSpec, initial: StateDistribution,
-                             offset: int, block_len: int) -> np.ndarray:
-    """Exact law of the length-`block_len` window starting `offset` letters
-    after the initial window.
-
-    Returns a vector over all words of that length, indexed big-endian.
-    Each chain step extends the window by one letter and, for the
-    `offset` steps, then sums the oldest letter out; what is left is
-    marginalized (block_len < order) or extended (block_len > order).
-    """
-    from .stats import BLOCK_LEN_CAP
-    k = kernel.order
-    m = block_len
-    if initial.order != k:
-        raise ValueError("initial distribution order does not match kernel order")
-    if offset < 0:
-        raise ValueError("offset must be nonnegative")
-    if m < 1:
-        raise ValueError("block length must be positive")
-    if m > min(k + EXTENSION_CAP, BLOCK_LEN_CAP):
-        raise CapacityError(
-            f"block length {m} exceeds cap min(order+{EXTENSION_CAP}, {BLOCK_LEN_CAP})")
-    table = kernel_table(kernel)
-    p = initial.probs
-    for _ in range(offset):
-        p = _extend(p, table).reshape(2, -1).sum(axis=0)
-    if m < k:
-        return p.reshape(1 << m, -1).sum(axis=1)
-    for _ in range(k, m):
-        p = _extend(p, table)
-    return p
-
-
 def exact_conditional_entropy(kernel: KernelSpec, m: int) -> float:
-    """Order-m conditional entropy of the stationary process, bits/letter.
-
-    Equal to 1 exactly for m <= order and to the binary entropy of pi for
-    every m > order.
-    """
-    from .stats import conditional_entropy
+    """Order-m conditional entropy of the stationary process, bits/letter,
+    at any order: 1 for m <= order, as blocks up to the order are uniform,
+    and the binary entropy of pi for m > order, as a letter after `order`
+    others has probability pi or 1 - pi."""
     if m < 1:
         raise ValueError("entropy order must be positive")
-    return conditional_entropy(exact_block_distribution(
-        kernel, StateDistribution.uniform(kernel.order), 0, m))
+    return 1.0 if m <= kernel.order else limit_entropy(kernel.pi)
 
 
 def limit_entropy(pi: float) -> float:

@@ -66,22 +66,6 @@ def _block_counts(bits: np.ndarray, lo: int, hi: int) -> list[np.ndarray]:
     return out[::-1]
 
 
-def occurrence_count(seq, u) -> int:
-    """Number of overlapping occurrences of the word u in seq."""
-    bits = as_bit_array(seq)
-    word = as_bit_array(u)
-    m = word.size
-    if m < 1:
-        raise ValueError("pattern must contain at least one bit")
-    if m > bits.size:
-        raise ValueError(f"pattern length {m} exceeds sequence length {bits.size}")
-    count = bits.size - m + 1
-    hit = np.ones(count, dtype=bool)
-    for j in range(m):
-        hit &= bits[j:j + count] == word[j]
-    return int(np.count_nonzero(hit))
-
-
 @dataclass(frozen=True)
 class BlockStats:
     """Frequency table of all m-words with its uniformity summaries."""

@@ -7,14 +7,14 @@ import time
 
 import numpy as np
 
-from twofaced._reference import cond_prob_recursive
+from twofaced._reference import (StateDistribution, chain_conditional_entropy,
+                                 cond_prob_recursive, exact_block_distribution,
+                                 propagate)
 from twofaced.bitseq import BitSequence
 from twofaced.combine import CutSequence, twice_two_faced
 from twofaced.expander import (ExpanderConfig, bernoulli_decode,
                                bernoulli_encode, entropy_inverse, expand)
-from twofaced.generator import (StateDistribution, exact_block_distribution,
-                                exact_conditional_entropy, generate,
-                                init_uniform, limit_entropy, propagate)
+from twofaced.generator import generate, init_uniform, limit_entropy
 from twofaced.kernels import KernelSpec, Variant, cond_prob, int_to_context
 from twofaced.sources import CounterBitSource, UniformRealSource
 from twofaced.stats import block_frequencies, empirical_conditional_entropy
@@ -112,8 +112,8 @@ def test_c06_entropy_staircase_exact_and_empirical():
             kern = KernelSpec(Variant.PLAIN, k, pi)
             for m in range(1, k + 1):
                 worst_exact = max(worst_exact,
-                                  abs(exact_conditional_entropy(kern, m) - 1.0))
-            h_step = exact_conditional_entropy(kern, k + 1)
+                                  abs(chain_conditional_entropy(kern, m) - 1.0))
+            h_step = chain_conditional_entropy(kern, k + 1)
             worst_exact = max(worst_exact, abs(h_step - limit_entropy(pi)))
             src = CounterBitSource(1000 + k)
             seq = generate(init_uniform(kern, src), 10 ** 6, UniformRealSource(src))

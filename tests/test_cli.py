@@ -470,6 +470,27 @@ def test_analyze_bad_block_length_is_one_line_runtime_error():
         assert err == f"twofaced analyze: {message}\n"
 
 
+def test_analyze_warnings_are_lines_on_run_stderr():
+    # one `twofaced analyze: warning:` line per warning, on the stderr given
+    # to run, not Python's format with a source line; stdout unchanged
+    _, gen, _ = invoke(["gen", "--order", "3", "--pi", "0.2", "--length", "40",
+                        "--seed", "1"])
+    code, out, err = invoke(["analyze", "--max-block", "4"], gen)
+    assert code == 0
+    assert out == (
+        b"block_len=1 windows=40 max_abs_dev=1.250000e-01 chi_square=2.5 df=1 "
+        b"p_value=0.113846 ok\n"
+        b"block_len=2 windows=39 max_abs_dev=1.730769e-01 chi_square=6.84615 df=3 "
+        b"p_value=0.0769664 ok\n"
+        b"block_len=3 windows=38 max_abs_dev=9.868421e-02 chi_square=11.6842 df=7 "
+        b"p_value=0.111434 ok\n"
+        b"block_len=4 windows=37 max_abs_dev=1.266892e-01 chi_square=43 df=15 "
+        b"p_value=0.000157451 ok\n")
+    assert err == "".join(
+        f"twofaced analyze: warning: expected count per cell is {e} (< 5); "
+        "the chi-square approximation is unreliable\n" for e in ("4.75", "2.31"))
+
+
 def test_unknown_flag_exits_2():
     code, _, _ = invoke(["gen", "--order", "2", "--pi", "0.5", "--length", "4",
                          "--seed", "1", "--frobnicate"])

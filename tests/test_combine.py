@@ -8,9 +8,9 @@ from twofaced.combine import (ComponentSpec, CutSequence, TwiceTwoFacedConfig,
                               component_stream, default_config, load_config,
                               parse_config, render_config, twice_two_faced,
                               twice_two_faced_from_config)
+from twofaced._reference import StateDistribution, exact_block_distribution
 from twofaced.errors import ConfigurationError
-from twofaced.generator import (StateDistribution, exact_block_distribution,
-                                generate, init_uniform)
+from twofaced.generator import generate, init_uniform
 from twofaced.kernels import KernelSpec, Variant
 from twofaced.sources import CounterBitSource, UniformRealSource
 from twofaced.stats import block_frequencies

@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twofaced._reference import (ReplayRealSource, cond_prob_recursive,
-                                 generate_by_conversion)
+from twofaced._reference import (ReplayRealSource, StateDistribution,
+                                 chain_conditional_entropy, cond_prob_recursive,
+                                 exact_block_distribution, generate_by_conversion,
+                                 propagate)
 from twofaced import generator
 from twofaced.errors import CapacityError, SourceExhaustedError
-from twofaced.generator import (GeneratorState, StateDistribution, _generate_steps,
-                                exact_block_distribution,
+from twofaced.generator import (GeneratorState, _generate_steps,
                                 exact_conditional_entropy, generate,
-                                init_fixed, init_uniform, limit_entropy,
-                                propagate)
+                                init_fixed, init_uniform, limit_entropy)
 from twofaced.kernels import KernelSpec, Variant
 from twofaced.sources import (CounterBitSource, OSBitSource, ReplayBitSource,
                               UniformRealSource)
@@ -193,7 +193,7 @@ def test_exact_block_distribution_caps():
 @pytest.mark.parametrize("order", [21, 24])
 def test_exact_operations_refuse_large_orders_before_allocating(order):
     # 2^24 float states would take 128 MiB; the cap must fire first
-    calls = (lambda: exact_conditional_entropy(_kernel(order, 0.2), 2),
+    calls = (lambda: chain_conditional_entropy(_kernel(order, 0.2), 2),
              lambda: StateDistribution.uniform(order),
              lambda: StateDistribution.point_mass(order, "0" * order))
     for call in calls:
@@ -333,6 +333,25 @@ def test_entropy_staircase_exact():
     assert abs(exact_conditional_entropy(kern, 7) - limit_entropy(0.1)) <= 1e-12
 
 
+def test_closed_form_entropy_matches_chain():
+    # the closed form against the chain wherever the chain runs, and at
+    # orders far past its cap, where the closed form needs nothing built
+    worst = 0.0
+    for variant in Variant:
+        for k in range(1, 13):
+            for pi in (0.1, 0.2, 0.5, 0.77, 1e-9, 0.999):
+                kern = KernelSpec(variant, k, pi)
+                for m in range(1, min(k + 8, 24) + 1):
+                    worst = max(worst, abs(exact_conditional_entropy(kern, m)
+                                           - chain_conditional_entropy(kern, m)))
+    assert worst <= 1e-15
+    for k in (1000, 1 << 17):
+        kern = _kernel(k, 0.2)
+        assert [exact_conditional_entropy(kern, m) for m in (1, k)] == [1.0, 1.0]
+        for m in (k + 1, k + 8, 2 * k):
+            assert exact_conditional_entropy(kern, m) == limit_entropy(0.2)
+
+
 def test_entropy_fair_coin():
     for m in (1, 3, 6):
         assert exact_conditional_entropy(_kernel(4, 0.5), m) == pytest.approx(1.0, abs=1e-12)
@@ -376,7 +395,7 @@ def _exact_chain_digest():
                                 kern, start, offset, m).tobytes())
                         h.update(propagate(kern, start, offset).probs.tobytes())
                 for m in range(1, k + 9):
-                    h.update(repr(exact_conditional_entropy(kern, m)).encode())
+                    h.update(repr(chain_conditional_entropy(kern, m)).encode())
     return h.hexdigest()
 
 
@@ -392,7 +411,7 @@ def test_exact_windows_refuse_long_blocks_before_allocating(m):
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError, match=f"block length {m} exceeds cap"):
-            exact_conditional_entropy(_kernel(20, 0.2), m)
+            chain_conditional_entropy(_kernel(20, 0.2), m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from twofaced.errors import CapacityError
-from twofaced._reference import cond_prob_recursive
-from twofaced.generator import StateDistribution, init_fixed
+from twofaced._reference import StateDistribution, cond_prob_recursive
+from twofaced.generator import init_fixed
 from twofaced.kernels import (KernelSpec, Variant, as_context, cond_prob,
                               context_to_int, int_to_context, kernel_table)
 

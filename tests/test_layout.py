@@ -1,6 +1,6 @@
 """Static checks of three package design rules, read from the source by
-`ast`: the test-only oracles in `_reference` stay out of the package,
-production draws go through `UniformRealSource.at_least`, the package's
+`ast`: the test-only oracles in `_reference` stay out of the package and
+of the scripts, which use its public, uncapped API, production draws go through `UniformRealSource.at_least`, the package's
 one way to draw randomness, never through `reals`, and every name a
 module imports is used in it."""
 import ast
@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "twofaced"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "twofaced"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "_reference.py")
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 # transform.py imports these without using them: bench/tracer.py wraps
 # context_to_int and int_to_context by that module.
 UNUSED_IMPORTS_ALLOWED = {"transform.py": {"context_to_int", "int_to_context"}}
@@ -30,9 +32,11 @@ def _imports_reference(node) -> bool:
 
 def test_layout_sees_the_package():
     assert {p.name for p in MODULES} >= {"generator.py", "sources.py", "transform.py"}
+    assert {p.name for p in SCRIPTS} >= {"entropy_staircase.py", "signature_demo.py"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS,
+                         ids=lambda p: p.name if p.parent == PACKAGE else f"scripts/{p.name}")
 def test_no_module_imports_reference(path):
     lines = [n.lineno for n in ast.walk(_tree(path)) if _imports_reference(n)]
     assert not lines, f"{path.name} imports _reference at lines {lines}"

@@ -7,10 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from twofaced.bitseq import BitSequence
-from twofaced.generator import StateDistribution, exact_block_distribution
 from twofaced.kernels import KernelSpec, Variant, int_to_context
 from twofaced.sources import CounterBitSource
-from twofaced._reference import m_select_definitional
+from twofaced._reference import (StateDistribution, exact_block_distribution,
+                                 m_select_definitional)
 from twofaced.transform import inverse_transform, transform
 
 bit_lists = st.lists(st.integers(0, 1), max_size=128)
