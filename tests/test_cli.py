@@ -13,9 +13,9 @@ from twofaced.bitseq import BitSequence, decode_stream
 from twofaced.cli import run
 from twofaced.combine import default_config, render_config
 from twofaced.expander import ExpanderConfig, expand
-from twofaced.generator import generate, init_uniform
+from twofaced.generator import generate, init_fixed, init_uniform
 from twofaced.kernels import KernelSpec, Variant
-from twofaced.sources import CounterBitSource, UniformRealSource
+from twofaced.sources import CounterBitSource, ReplayBitSource, UniformRealSource
 
 
 def invoke(argv, stdin=b""):
@@ -76,9 +76,17 @@ def test_gen_fixed_init_and_entropy_file(tmp_path):
     entropy = BitSequence(CounterBitSource(1).bits(64 * 53))
     path = tmp_path / "bits.bin"
     path.write_bytes(entropy.to_packed())
-    code, out, _ = invoke(["gen", "--order", "2", "--pi", "0.3", "--length", "8",
-                           "--init", "01", "--entropy-file", str(path)])
-    assert code == 0 and len(out.strip()) == 8
+    argv = ["gen", "--order", "2", "--pi", "0.3", "--length", "8", "--init", "01",
+            "--entropy-file", str(path)]
+    code, out, err = invoke(argv)
+    want = generate(init_fixed(KernelSpec(Variant.PLAIN, 2, 0.3), "01"), 8,
+                    UniformRealSource(ReplayBitSource(entropy)))
+    assert (code, err) == (0, "")
+    assert decode_stream(out, "ascii01") == want
+    # eight draws take 424 bits; a file of 52 bytes holds 416
+    path.write_bytes(entropy.to_packed()[:52])
+    assert invoke(argv) == (
+        1, b"", "twofaced gen: requested 424 bits but only 416 remain\n")
 
 
 def test_gen_init_of_wrong_length_exits_1():

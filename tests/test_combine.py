@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -198,6 +200,22 @@ def test_load_config(tmp_path):
     cfg = default_config(pi=0.2, seed=5, n=100)
     path.write_text(render_config(cfg))
     assert load_config(path) == cfg
+
+
+# sha256 of render_config(default_config(0.2, seed, 100_000)): the ladder
+# config of the benchmark's ladder-combine workload at its default and
+# held-out seeds, whose stream digests depend on it.
+_LADDER_CONFIG_DIGESTS = {
+    9: "fcb852856b5e7cfd0d617755dad63d133cd3e445be61b1ad4d77ba5cbaac45ca",
+    1512: "8d6bc4608dfab5134fef0f499defaacd75bcf4b2dc1e91f96124f15b9e181a9b",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_LADDER_CONFIG_DIGESTS))
+def test_ladder_config_text_golden_digest(seed):
+    text = render_config(default_config(0.2, seed, 100_000))
+    assert hashlib.sha256(text.encode()).hexdigest() == _LADDER_CONFIG_DIGESTS[seed]
+    assert render_config(parse_config(text)) == text
 
 
 def test_default_config_covers_length():

@@ -1,8 +1,9 @@
-"""Static checks of three package design rules, read from the source by
-`ast`: the test-only oracles in `_reference` stay out of the package and
-of the scripts, which use its public, uncapped API, production draws go through `UniformRealSource.at_least`, the package's
-one way to draw randomness, never through `reals`, and every name a
-module imports is used in it."""
+"""Static checks of three design rules, read from the source by `ast`:
+the test-only oracles in `_reference` stay out of the package and of the
+scripts, which use its public, uncapped API; production draws go through
+`UniformRealSource.at_least`, the package's one way to draw randomness,
+never through `reals`; and every name a package module or script imports
+is used in it."""
 import ast
 from pathlib import Path
 
@@ -35,8 +36,11 @@ def test_layout_sees_the_package():
     assert {p.name for p in SCRIPTS} >= {"entropy_staircase.py", "signature_demo.py"}
 
 
-@pytest.mark.parametrize("path", MODULES + SCRIPTS,
-                         ids=lambda p: p.name if p.parent == PACKAGE else f"scripts/{p.name}")
+def _path_id(path) -> str:
+    return path.name if path.parent == PACKAGE else f"scripts/{path.name}"
+
+
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=_path_id)
 def test_no_module_imports_reference(path):
     lines = [n.lineno for n in ast.walk(_tree(path)) if _imports_reference(n)]
     assert not lines, f"{path.name} imports _reference at lines {lines}"
@@ -82,7 +86,7 @@ def _imported_names(tree):
                 yield node.lineno, alias.asname or alias.name.split(".")[0]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=_path_id)
 def test_every_import_is_used(path):
     tree = _tree(path)
     allowed = UNUSED_IMPORTS_ALLOWED.get(path.name, set()) | _used_names(tree)
