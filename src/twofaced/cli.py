@@ -15,6 +15,8 @@ A warning that a command raises prints as a `twofaced <cmd>: warning:` line.
 from __future__ import annotations
 
 import argparse
+import codecs
+import contextlib
 import sys
 import warnings
 
@@ -45,13 +47,14 @@ def _add_entropy_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _entropy_source(args, parser: argparse.ArgumentParser):
-    from .sources import CounterBitSource, FileBitSource, OSBitSource
+    from .sources import CounterBitSource, OSBitSource, ReplayBitSource
     if args.seed is not None:
         return CounterBitSource(args.seed)
     if args.os_entropy:
         return OSBitSource()
     if args.entropy_file is not None:
-        return FileBitSource(args.entropy_file)
+        with open(args.entropy_file, "rb") as fh:
+            return ReplayBitSource(BitSequence.from_packed(fh.read()))
     parser.error("an entropy flag is required: --seed, --os-entropy, or --entropy-file")
 
 
@@ -126,10 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_input(stdin, fmt: str) -> BitSequence:
-    return decode_stream(stdin.read(), fmt)
-
-
 def _write_output(stdout, seq: BitSequence, fmt: str) -> None:
     stdout.write(encode_stream(seq, fmt))
     if fmt != "packed":
@@ -161,7 +160,7 @@ def _cmd_transform(args, parser, stdin, stdout) -> int:
         raise ValueError("initial word must contain at least one bit")
     if args.order is not None and args.order != len(v):
         parser.error(f"--init length {len(v)} does not match --order {args.order}")
-    seq = _read_input(stdin, args.format)
+    seq = decode_stream(stdin.read(), args.format)
     op = inverse_transform if args.inverse else transform
     _write_output(stdout, op(seq, v, Variant(args.variant)), args.format)
     return 0
@@ -178,8 +177,8 @@ def _cmd_combine(args, parser, stdin, stdout) -> int:
         if args.length is not None:
             parser.error("--length is not allowed with --xor-with")
         with open(args.xor_with, "rb") as fh:  # before stdin, so a bad path fails at once
-            other = _read_input(fh, args.format)
-        out = _read_input(stdin, args.format) ^ other
+            other = decode_stream(fh.read(), args.format)
+        out = decode_stream(stdin.read(), args.format) ^ other
     _write_output(stdout, out, args.format)
     return 0
 
@@ -198,7 +197,7 @@ def _cmd_whiten(args, parser, stdin, stdout) -> int:
         if args.pi is None:
             parser.error("--pi is required with --order")
         mask = _kernel_stream(args, parser)
-    seq = _read_input(stdin, args.format)
+    seq = decode_stream(stdin.read(), args.format)
     _write_output(stdout, seq ^ mask(len(seq)), args.format)
     return 0
 
@@ -208,7 +207,7 @@ def _cmd_analyze(args, parser, stdin, stdout) -> int:
     stats_mod.check_block_range(args.max_block, args.min_block)
     if not 0.0 <= args.alpha <= 1.0:  # NaN fails too
         parser.error(f"--alpha must lie in [0, 1], got {args.alpha}")
-    seq = _read_input(stdin, args.format)
+    seq = decode_stream(stdin.read(), args.format)
     results = stats_mod.analyze(seq, args.max_block, args.min_block)
     if args.csv:
         text = stats_mod.report_csv(results)
@@ -240,17 +239,18 @@ _COMMANDS = {
 
 
 def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
-    """Parse and execute one command over binary byte streams."""
+    """Parse and execute one command over binary byte streams; all output,
+    argparse's help and usage errors too, goes to the streams given."""
     stdin = stdin if stdin is not None else sys.stdin.buffer
     stdout = stdout if stdout is not None else sys.stdout.buffer
     stderr = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse handles usage errors and --help
-        return int(exc.code or 0)
-    prefix = f"twofaced {args.command}:"
-    with warnings.catch_warnings():
+    with (contextlib.redirect_stdout(codecs.getwriter("utf-8")(stdout)),
+          contextlib.redirect_stderr(stderr), warnings.catch_warnings()):
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse handles usage errors and --help
+            return int(exc.code or 0)
+        prefix = f"twofaced {args.command}:"
         warnings.showwarning = lambda msg, *_: print(prefix, "warning:", msg, file=stderr)
         try:
             return _COMMANDS[args.command](args, args.parser, stdin, stdout)

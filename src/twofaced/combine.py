@@ -60,20 +60,13 @@ class CutSequence:
 
 @dataclass(frozen=True)
 class ComponentSpec:
-    """One component stream: kernel order, parameter, and its own seed."""
+    """One component stream: its kernel and its own seed."""
 
-    order: int
-    pi: float
+    kernel: KernelSpec
     seed: int
-    variant: Variant = Variant.PLAIN
 
     def __post_init__(self):
-        # reject a bad order, pi or seed here, not when first built
-        self.kernel()
-        CounterBitSource(self.seed)
-
-    def kernel(self) -> KernelSpec:
-        return KernelSpec(self.variant, self.order, self.pi)
+        CounterBitSource(self.seed)  # reject a bad seed here, not when first built
 
 
 @dataclass(frozen=True)
@@ -91,7 +84,7 @@ def component_stream(spec: ComponentSpec) -> Callable[[int], BitSequence]:
 
     def build(n: int) -> BitSequence:
         source = CounterBitSource(spec.seed)
-        state = init_uniform(spec.kernel(), source)
+        state = init_uniform(spec.kernel, source)
         return generate(state, n, UniformRealSource(source))
 
     return build
@@ -131,7 +124,7 @@ def default_config(pi: float, seed: int, n: int) -> TwiceTwoFacedConfig:
         c *= 2
     cuts.append(c)
     components = tuple(
-        ComponentSpec(order=cut, pi=pi, seed=mix64(seed ^ mix64(j + 1)))
+        ComponentSpec(KernelSpec(Variant.PLAIN, cut, pi), mix64(seed ^ mix64(j + 1)))
         for j, cut in enumerate(cuts))
     return TwiceTwoFacedConfig(CutSequence(tuple(cuts)), components)
 
@@ -158,9 +151,9 @@ def parse_config(text: str) -> TwiceTwoFacedConfig:
                 variant = kv.pop("variant", "plain")
                 if set(kv) != {"order", "pi", "seed"}:
                     raise ValueError(f"expected order=, pi=, seed=, got {sorted(kv)}")
+                order, pi, seed = int(kv["order"]), float(kv["pi"]), int(kv["seed"])
                 components.append(ComponentSpec(
-                    order=int(kv["order"]), pi=float(kv["pi"]), seed=int(kv["seed"]),
-                    variant=Variant(variant)))
+                    KernelSpec(Variant(variant), order, pi), seed))
                 continue
             raise ValueError(f"unrecognized directive {fields[0]!r}")
         except (ValueError, KeyError) as exc:
@@ -176,8 +169,8 @@ def parse_config(text: str) -> TwiceTwoFacedConfig:
 
 def render_config(config: TwiceTwoFacedConfig) -> str:
     lines = [f"cut {c}" for c in config.cuts.cuts]
-    lines += [f"component order={c.order} pi={c.pi!r} seed={c.seed}"
-              + (" variant=bar" if c.variant is Variant.BAR else "")
+    lines += [f"component order={c.kernel.order} pi={c.kernel.pi!r} seed={c.seed}"
+              + (" variant=bar" if c.kernel.variant is Variant.BAR else "")
               for c in config.components]
     return "\n".join(lines) + "\n"
 

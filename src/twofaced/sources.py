@@ -7,7 +7,7 @@ Two source contracts are used throughout the package:
   resolution, derived from a BitSource by a fixed construction: each
   draw consumes exactly 53 bits, first bit most significant, and the
   value is ``mantissa / 2**53``.  Its ``at_least`` compares the draws
-  with thresholds straight from the source's 64-bit words, without
+  with thresholds straight from the source's packed bytes, without
   making floats: eight draws fill exactly 53 bytes, so each draw is one
   8-byte load.  It agrees with ``reals(n) >= t`` exactly.  Per draw,
   ``at_least`` holds about 38 bytes of temporaries and ``reals`` 68;
@@ -55,16 +55,15 @@ def mix64(z: int) -> int:
 class BitSource:
     """Contract: ``bits(n)`` returns the next n stream bits as uint8.
 
-    ``words(n)`` returns the same n bits packed little-endian into
-    ceil(n / 64) uint64 words, any bits past the n-th reading 0.
+    ``packed(n)`` returns them as ``bitseq``'s packed bytes: ceil(n / 8)
+    uint8, the first bit lowest in the first byte, bits past the n-th 0.
     """
 
     def bits(self, n: int) -> np.ndarray:
         raise NotImplementedError
 
-    def words(self, n: int) -> np.ndarray:
-        packed = np.packbits(self.bits(n), bitorder="little")
-        return np.concatenate([packed, np.zeros(-packed.size % 8, np.uint8)]).view("<u8")
+    def packed(self, n: int) -> np.ndarray:
+        return np.packbits(self.bits(n), bitorder="little")
 
 
 class CounterBitSource(BitSource):
@@ -77,10 +76,9 @@ class CounterBitSource(BitSource):
         self._pos = 0  # absolute bit position
 
     def bits(self, n: int) -> np.ndarray:
-        raw = self.words(n).astype("<u8", copy=False).view(np.uint8)
-        return np.unpackbits(raw, count=n, bitorder="little")
+        return np.unpackbits(self.packed(n), count=n, bitorder="little")
 
-    def words(self, n: int) -> np.ndarray:
+    def packed(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError("bit count must be nonnegative")
         first, start = divmod(self._pos, 64)
@@ -98,7 +96,7 @@ class CounterBitSource(BitSource):
         if n % 64:
             out[-1] &= np.uint64((1 << n % 64) - 1)
         self._pos += n
-        return out
+        return out.astype("<u8", copy=False).view(np.uint8)[:-(-n // 8)]
 
 
 class OSBitSource(BitSource):
@@ -133,15 +131,6 @@ class ReplayBitSource(BitSource):
         return out
 
 
-class FileBitSource(ReplayBitSource):
-    """Replays the contents of a packed-bits file."""
-
-    def __init__(self, path):
-        with open(path, "rb") as fh:
-            data = fh.read()
-        super().__init__(BitSequence.from_packed(data))
-
-
 @functools.lru_cache(maxsize=256)
 def _mark(t: float) -> np.uint64:
     """rev53(ceil(t * 2^53) - 1): the threshold as `at_least` compares it."""
@@ -170,8 +159,8 @@ class UniformRealSource:
         return mantissa.astype(np.float64) * 2.0 ** -53
 
     def at_least(self, n: int, thresholds) -> list[np.ndarray]:
-        """``reals(n) >= t`` for each threshold t in (0, 1], from one read of
-        the same 53n bits.
+        """``reals(n) >= t`` for each threshold t in (0, 1], from the same 53n
+        bits, read once as packed bytes.
 
         Eight draws fill exactly 53 bytes, so draw r of each group of eight
         is the 53-bit field f read as one little-endian 8-byte load at byte
@@ -186,10 +175,9 @@ class UniformRealSource:
         if not all(0.0 < t <= 1.0 for t in thresholds):
             raise ValueError(f"thresholds must lie in (0, 1], got {thresholds!r}")
         groups = -(-n // 8)  # the last group may be partial
-        # A spare group: a group's last load ends a byte into the next, and
-        # the words' padding may run past the last group.
+        # A spare group: a group's last load ends a byte into the next.
         buf = np.zeros(53 * groups + 53, dtype=np.uint8)
-        raw = self.source.words(53 * n).astype("<u8", copy=False).view(np.uint8)
+        raw = self.source.packed(53 * n)
         buf[:raw.size] = raw
         f = np.empty(8 * groups, dtype=np.uint64)
         for r in range(8):

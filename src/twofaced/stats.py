@@ -228,7 +228,7 @@ def _analyze(bits: np.ndarray, min_block: int, max_block: int) -> list[BlockStat
         expected = (bits.size - m + 1) / (1 << m)
         if expected < 5.0:
             warnings.warn(
-                f"expected count per cell is {expected:.2f} (< 5); "
+                f"block length {m}: expected count per cell is {expected:.2f} (< 5); "
                 "the chi-square approximation is unreliable", stacklevel=3)
     results = []
     for m, counts in zip(range(min_block, max_block + 1),

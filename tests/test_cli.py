@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from twofaced.bitseq import BitSequence, decode_stream
-from twofaced.cli import run
+from twofaced.cli import build_parser, run
 from twofaced.combine import default_config, render_config
 from twofaced.expander import ExpanderConfig, expand
 from twofaced.generator import generate, init_fixed, init_uniform
@@ -184,22 +184,23 @@ _CONFIG_REFUSED_FLAGS = [["--pi", "0.2"], ["--seed", "4"], ["--os-entropy"],
 
 
 @pytest.mark.parametrize("flag", _CONFIG_REFUSED_FLAGS)
-def test_whiten_config_refuses_ignored_flag(tmp_path, capsys, flag):
+def test_whiten_config_refuses_ignored_flag(tmp_path, flag):
     # the config fixes every component's pi, seed and variant, so these
     # would be ignored
     path = tmp_path / "mask.cfg"
     path.write_text(render_config(default_config(pi=0.2, seed=3, n=64)))
-    code, out, _ = invoke(["whiten", "--config", str(path)] + flag, b"1" * 64)
+    code, out, err = invoke(["whiten", "--config", str(path)] + flag, b"1" * 64)
     assert (code, out) == (2, b"")
-    assert "not allowed with --config" in capsys.readouterr().err
+    assert "not allowed with --config" in err
 
 
-def test_combine_xor_with_refuses_length(tmp_path, capsys):
+def test_combine_xor_with_refuses_length(tmp_path):
     other = tmp_path / "other.bits"
     other.write_text("0101")
-    code, out, _ = invoke(["combine", "--xor-with", str(other), "--length", "2"], b"0011")
+    code, out, err = invoke(["combine", "--xor-with", str(other), "--length", "2"],
+                            b"0011")
     assert (code, out) == (2, b"")
-    assert "--length is not allowed with --xor-with" in capsys.readouterr().err
+    assert "--length is not allowed with --xor-with" in err
 
 
 def test_analyze_csv_header():
@@ -362,13 +363,13 @@ def test_mask_runtime_errors_are_one_line(tmp_path):
         assert (code, out, err) == (1, b"", message)
 
 
-def test_whiten_order_usage_errors_exit_2(capsys):
+def test_whiten_order_usage_errors_exit_2():
     for argv, message in (
             (["whiten", "--order", "5", "--pi", "0.2"], "an entropy flag is required"),
             (["whiten", "--order", "5", "--seed", "4"], "--pi is required with --order")):
-        code, out, _ = invoke(argv, b"0110")
+        code, out, err = invoke(argv, b"0110")
         assert (code, out) == (2, b"")
-        assert message in capsys.readouterr().err  # argparse prints usage errors
+        assert message in err  # argparse prints usage errors
 
 
 class _UnreadStdin:
@@ -410,25 +411,25 @@ def test_analyze_and_combine_fail_before_reading_stdin(tmp_path):
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf", "-0.1", "1.5"])
-def test_analyze_refuses_alpha_outside_unit_interval(alpha, capsys):
+def test_analyze_refuses_alpha_outside_unit_interval(alpha):
     # a verdict against such an alpha means nothing, so it is a usage error
+    stderr = io.StringIO()
     code = run(["analyze", "--max-block", "2", "--alpha", alpha], stdin=_UnreadStdin(),
-               stdout=io.BytesIO(), stderr=io.StringIO())
-    err = capsys.readouterr().err
+               stdout=io.BytesIO(), stderr=stderr)
+    err = stderr.getvalue()
     assert code == 2
     assert err.startswith("usage: twofaced analyze [-h] ")
     assert err.endswith(f"twofaced analyze: error: --alpha must lie in [0, 1], "
                         f"got {float(alpha)}\n")
 
 
-def test_usage_errors_after_parsing_print_the_subcommand_usage(capsys):
+def test_usage_errors_after_parsing_print_the_subcommand_usage():
     for argv, message in (
             (["whiten", "--order", "5", "--seed", "4"], "--pi is required with --order"),
             (["gen", "--order", "4", "--pi", "0.5", "--length", "10"],
              "an entropy flag is required: --seed, --os-entropy, or --entropy-file"),
             (["combine", "--config", "ladder.cfg"], "--length is required with --config")):
-        code, out, _ = invoke(argv, b"0110")
-        err = capsys.readouterr().err
+        code, out, err = invoke(argv, b"0110")
         assert (code, out) == (2, b"")
         assert err.startswith(f"usage: twofaced {argv[0]} [-h] ")
         assert err.endswith(f"twofaced {argv[0]}: error: {message}\n")
@@ -495,8 +496,41 @@ def test_analyze_warnings_are_lines_on_run_stderr():
         b"block_len=4 windows=37 max_abs_dev=1.266892e-01 chi_square=43 df=15 "
         b"p_value=0.000157451 ok\n")
     assert err == "".join(
-        f"twofaced analyze: warning: expected count per cell is {e} (< 5); "
-        "the chi-square approximation is unreliable\n" for e in ("4.75", "2.31"))
+        f"twofaced analyze: warning: block length {m}: expected count per cell is {e} "
+        "(< 5); the chi-square approximation is unreliable\n"
+        for m, e in ((3, "4.75"), (4, "2.31")))
+
+
+def test_analyze_prints_one_warning_line_per_low_count_length():
+    # under Python's default filters a repeated text prints once, so each
+    # length's warning must name it: m = 2 ... 20 expect fewer than 5 per cell
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(src)
+    proc = subprocess.run([sys.executable, "-m", "twofaced.cli", "analyze",
+                           "--max-block", "20"], input=b"01101001101001101001",
+                          env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr.decode().splitlines() == [
+        f"twofaced analyze: warning: block length {m}: expected count per cell is "
+        f"{(21 - m) / (1 << m):.2f} (< 5); the chi-square approximation is unreliable"
+        for m in range(2, 21)]
+
+
+def test_usage_error_goes_to_the_stderr_given():
+    err = io.StringIO()
+    code = run(["gen", "--order", "4", "--pi", "0.5", "--length", "10"], stderr=err)
+    assert code == 2
+    assert err.getvalue().startswith("usage: twofaced gen [-h] ")
+    assert err.getvalue().endswith("twofaced gen: error: an entropy flag is required: "
+                                   "--seed, --os-entropy, or --entropy-file\n")
+
+
+def test_help_goes_to_the_stdout_given():
+    out = io.BytesIO()
+    assert run(["--help"], stdout=out) == 0
+    assert out.getvalue().startswith(b"usage: twofaced [-h] ")
+    assert out.getvalue() == build_parser().format_help().encode()
 
 
 def test_unknown_flag_exits_2():

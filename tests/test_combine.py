@@ -132,14 +132,14 @@ component order=8 pi=0.2 seed=13
 """
     config = parse_config(text)
     assert config.cuts.cuts == (2, 4)
-    assert [c.order for c in config.components] == [2, 4, 8]
+    assert [c.kernel.order for c in config.components] == [2, 4, 8]
     again = parse_config(render_config(config))
     assert again == config
 
 
 def test_config_round_trip_keeps_bar_variant():
-    plain = ComponentSpec(order=2, pi=0.2, seed=11)
-    bar = ComponentSpec(order=4, pi=0.3, seed=12, variant=Variant.BAR)
+    plain = ComponentSpec(KernelSpec(Variant.PLAIN, 2, 0.2), 11)
+    bar = ComponentSpec(KernelSpec(Variant.BAR, 4, 0.3), 12)
     config = TwiceTwoFacedConfig(CutSequence((2,)), (plain, bar))
     text = render_config(config)
     assert text.splitlines()[1:] == ["component order=2 pi=0.2 seed=11",
@@ -173,7 +173,7 @@ def test_config_rejects_components_never_built():
     for bad in ({"order": 0, "pi": 0.2}, {"order": 2, "pi": 7.0},
                 {"order": 2.5, "pi": 0.2}):
         with pytest.raises(ValueError):
-            ComponentSpec(seed=1, **bad)
+            ComponentSpec(KernelSpec(Variant.PLAIN, **bad), 1)
 
 
 def test_config_rejects_seeds_outside_64_bits():
@@ -181,7 +181,7 @@ def test_config_rejects_seeds_outside_64_bits():
         with pytest.raises(ConfigurationError, match="config line 2: seed must lie"):
             parse_config(f"cut 2\ncomponent order=2 pi=0.2 seed={seed}")
         with pytest.raises(ValueError):
-            ComponentSpec(order=2, pi=0.2, seed=seed)
+            ComponentSpec(KernelSpec(Variant.PLAIN, 2, 0.2), seed)
         # a base seed is not aliased either (-1 to 2^64 - 1, 2^64 to 0)
         with pytest.raises(ValueError, match=f"seed must lie in .*, got {seed}$"):
             default_config(pi=0.2, seed=seed, n=100)
@@ -222,13 +222,13 @@ def test_default_config_covers_length():
     cfg = default_config(pi=0.2, seed=5, n=1000)
     assert cfg.cuts.cuts[-1] >= 1000
     assert len(cfg.components) >= len(cfg.cuts.segment_starts(1000))
-    assert [c.order for c in cfg.components] == list(cfg.cuts.cuts)
+    assert [c.kernel.order for c in cfg.components] == list(cfg.cuts.cuts)
     seeds = [c.seed for c in cfg.components]
     assert len(set(seeds)) == len(seeds)
 
 
 def test_component_stream_deterministic():
-    spec = ComponentSpec(order=3, pi=0.2, seed=77)
+    spec = ComponentSpec(KernelSpec(Variant.PLAIN, 3, 0.2), 77)
     factory = component_stream(spec)
     assert factory(50) == factory(50)
     # a longer request extends the same stream

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from twofaced.bitseq import BitSequence
 from twofaced.errors import SourceExhaustedError
 from twofaced._reference import ReplayRealSource
-from twofaced.sources import (CounterBitSource, FileBitSource, OSBitSource,
-                              ReplayBitSource, UniformRealSource, mix64)
+from twofaced.sources import (CounterBitSource, OSBitSource, ReplayBitSource,
+                              UniformRealSource, mix64)
 from twofaced.stats import block_frequencies
 
 _M64 = (1 << 64) - 1
@@ -73,16 +73,6 @@ def test_replay_source_exhaustion():
     assert src.bits(3).tolist() == [1, 0, 1]
     with pytest.raises(SourceExhaustedError):
         src.bits(2)
-
-
-def test_file_source_round_trip(tmp_path):
-    seq = BitSequence("10110011" * 3)
-    path = tmp_path / "entropy.bin"
-    path.write_bytes(seq.to_packed())
-    src = FileBitSource(path)
-    assert BitSequence(src.bits(24)) == seq
-    with pytest.raises(SourceExhaustedError):
-        src.bits(1)
 
 
 def test_source_bits_wrap_as_bitsequence():
@@ -195,11 +185,12 @@ def test_replay_real_source_at_least():
 
 
 @given(st.integers(0, _M64), st.integers(0, 200), st.integers(0, 300))
-def test_counter_words_equal_packed_bits(seed, skip, n):
+def test_counter_packed_equals_packed_bits(seed, skip, n):
     src, ref = CounterBitSource(seed), CounterBitSource(seed)
     src.bits(skip)
-    words = src.words(n)
+    packed = src.packed(n)
     bits = ref.bits(skip + n)[skip:]
-    assert words.dtype == np.uint64 and words.size == -(-n // 64)
-    assert np.array_equal(words, ReplayBitSource(bits).words(n))
+    assert packed.dtype == np.uint8 and packed.size == -(-n // 8)
+    assert np.array_equal(packed, ReplayBitSource(bits).packed(n))
+    assert packed.tobytes() == BitSequence(bits).to_packed()
     assert np.array_equal(src.bits(9), ref.bits(9))

@@ -442,8 +442,8 @@ def _warning_texts(caught):
 
 
 def _low_count_texts(n, ms):
-    return [f"expected count per cell is {(n - m + 1) / (1 << m):.2f} (< 5); "
-            "the chi-square approximation is unreliable" for m in ms]
+    return [f"block length {m}: expected count per cell is {(n - m + 1) / (1 << m):.2f} "
+            "(< 5); the chi-square approximation is unreliable" for m in ms]
 
 
 @pytest.mark.parametrize("n, max_block, min_block, error, message", [
