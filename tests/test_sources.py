@@ -75,6 +75,19 @@ def test_replay_source_exhaustion():
         src.bits(2)
 
 
+def test_file_source_round_trip(tmp_path):
+    # the --entropy-file path: packed bytes on disk replayed as a bit source
+    seq = BitSequence("10110011" * 3)
+    path = tmp_path / "entropy.bin"
+    path.write_bytes(seq.to_packed())
+    src = ReplayBitSource(BitSequence.from_packed(path.read_bytes()))
+    assert BitSequence(src.bits(24)) == seq
+    with pytest.raises(SourceExhaustedError):
+        src.bits(1)
+    src = ReplayBitSource(BitSequence.from_packed(path.read_bytes()))
+    assert src.packed(24).tobytes() == path.read_bytes()
+
+
 def test_source_bits_wrap_as_bitsequence():
     out = BitSequence(CounterBitSource(1).bits(10))
     assert isinstance(out, BitSequence) and len(out) == 10
