@@ -65,7 +65,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "with exactly uniform short-block statistics.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="emit a kernel-distributed stream")
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler, parser=p)  # later usage errors name the subcommand
+        return p
+
+    p = command("gen", _cmd_gen, "emit a kernel-distributed stream")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--pi", type=float, required=True)
     p.add_argument("--variant", choices=["plain", "bar"], default="plain")
@@ -75,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_entropy_flags(p)
     _add_format(p)
 
-    p = sub.add_parser("transform", help="apply the conversion to stdin")
+    p = command("transform", _cmd_transform, "apply the conversion to stdin")
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--init", metavar="BITS", required=True,
                    help="initial window of length order")
@@ -84,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="invert the conversion instead")
     _add_format(p)
 
-    p = sub.add_parser("combine", help="XOR two streams or build a combined stream")
+    p = command("combine", _cmd_combine, "XOR two streams or build a combined stream")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--xor-with", metavar="PATH",
                       help="XOR stdin with the stream stored at PATH")
@@ -94,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output length (required with --config)")
     _add_format(p)
 
-    p = sub.add_parser("whiten", help="XOR stdin with a generated mask")
+    p = command("whiten", _cmd_whiten, "XOR stdin with a generated mask")
     mask = p.add_mutually_exclusive_group(required=True)
     mask.add_argument("--order", type=int, default=None,
                       help="kernel mask order (with --pi)")
@@ -106,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_entropy_flags(p)
     _add_format(p)
 
-    p = sub.add_parser("analyze", help="block-frequency report for stdin")
+    p = command("analyze", _cmd_analyze, "block-frequency report for stdin")
     p.add_argument("--min-block", type=int, default=1)
     p.add_argument("--max-block", type=int, required=True)
     p.add_argument("--alpha", type=float, default=1e-4,
@@ -114,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true", help="machine-readable output")
     _add_format(p)
 
-    p = sub.add_parser("expand", help="stretch a short seed into a long stream")
+    p = command("expand", _cmd_expand, "stretch a short seed into a long stream")
     seed = p.add_mutually_exclusive_group(required=True)
     seed.add_argument("--seed-hex", metavar="HEX", help="seed bits, hex-encoded")
     seed.add_argument("--seed-file", metavar="PATH", help="seed bits, packed file")
@@ -123,9 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
                    help="coder register width in bits, in [16, 62] (default %(default)s)")
     _add_format(p)
-
-    for p in sub.choices.values():  # usage errors found later name the subcommand
-        p.set_defaults(parser=p)
     return parser
 
 
@@ -148,13 +150,12 @@ def _kernel_stream(args, parser, init=None):
     return lambda n: generate(state, n, UniformRealSource(source))
 
 
-def _cmd_gen(args, parser, stdin, stdout) -> int:
+def _cmd_gen(args, parser, stdin, stdout) -> None:
     _write_output(stdout, _kernel_stream(args, parser, args.init)(args.length),
                   args.format)
-    return 0
 
 
-def _cmd_transform(args, parser, stdin, stdout) -> int:
+def _cmd_transform(args, parser, stdin, stdout) -> None:
     v = BitSequence.from_ascii01(args.init)
     if not len(v):  # before stdin, as transform would find it only at EOF
         raise ValueError("initial word must contain at least one bit")
@@ -163,10 +164,9 @@ def _cmd_transform(args, parser, stdin, stdout) -> int:
     seq = decode_stream(stdin.read(), args.format)
     op = inverse_transform if args.inverse else transform
     _write_output(stdout, op(seq, v, Variant(args.variant)), args.format)
-    return 0
 
 
-def _cmd_combine(args, parser, stdin, stdout) -> int:
+def _cmd_combine(args, parser, stdin, stdout) -> None:
     if args.config is not None:
         if args.length is None:
             parser.error("--length is required with --config")
@@ -180,10 +180,9 @@ def _cmd_combine(args, parser, stdin, stdout) -> int:
             other = decode_stream(fh.read(), args.format)
         out = decode_stream(stdin.read(), args.format) ^ other
     _write_output(stdout, out, args.format)
-    return 0
 
 
-def _cmd_whiten(args, parser, stdin, stdout) -> int:
+def _cmd_whiten(args, parser, stdin, stdout) -> None:
     # Flags, config and entropy source are all checked before stdin is read.
     if args.config is not None:
         if (args.pi is not None or args.variant is not None or args.seed is not None
@@ -199,10 +198,9 @@ def _cmd_whiten(args, parser, stdin, stdout) -> int:
         mask = _kernel_stream(args, parser)
     seq = decode_stream(stdin.read(), args.format)
     _write_output(stdout, seq ^ mask(len(seq)), args.format)
-    return 0
 
 
-def _cmd_analyze(args, parser, stdin, stdout) -> int:
+def _cmd_analyze(args, parser, stdin, stdout) -> None:
     from . import stats as stats_mod
     stats_mod.check_block_range(args.max_block, args.min_block)
     if not 0.0 <= args.alpha <= 1.0:  # NaN fails too
@@ -214,10 +212,9 @@ def _cmd_analyze(args, parser, stdin, stdout) -> int:
     else:
         text = stats_mod.report_text(results, args.alpha)
     stdout.write(text.encode("ascii"))
-    return 0
 
 
-def _cmd_expand(args, parser, stdin, stdout) -> int:
+def _cmd_expand(args, parser, stdin, stdout) -> None:
     if args.seed_hex is not None:
         seed = BitSequence.from_hex(args.seed_hex)
     else:
@@ -225,17 +222,6 @@ def _cmd_expand(args, parser, stdin, stdout) -> int:
             seed = BitSequence.from_packed(fh.read())
     config = ExpanderConfig(args.order, args.length, args.precision)
     _write_output(stdout, expand(seed, config), args.format)
-    return 0
-
-
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "transform": _cmd_transform,
-    "combine": _cmd_combine,
-    "whiten": _cmd_whiten,
-    "analyze": _cmd_analyze,
-    "expand": _cmd_expand,
-}
 
 
 def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
@@ -248,20 +234,19 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
           contextlib.redirect_stderr(stderr), warnings.catch_warnings()):
         try:
             args = build_parser().parse_args(argv)
-        except SystemExit as exc:  # argparse handles usage errors and --help
+            prefix = f"twofaced {args.command}:"
+            warnings.showwarning = lambda msg, *_: print(prefix, "warning:", msg, file=stderr)
+            try:
+                args.handler(args, args.parser, stdin, stdout)
+            except (ValueError, CapacityError, SourceExhaustedError, OSError) as exc:
+                print(prefix, exc, file=stderr)
+                return 1
+            except MemoryError as exc:  # e.g. numpy refusing a huge --length
+                print(prefix, str(exc) or "out of memory", file=stderr)
+                return 1
+        except SystemExit as exc:  # usage errors and --help, from argparse or parser.error
             return int(exc.code or 0)
-        prefix = f"twofaced {args.command}:"
-        warnings.showwarning = lambda msg, *_: print(prefix, "warning:", msg, file=stderr)
-        try:
-            return _COMMANDS[args.command](args, args.parser, stdin, stdout)
-        except SystemExit as exc:  # parser.error from semantic validation
-            return int(exc.code or 0)
-        except (ValueError, CapacityError, SourceExhaustedError, OSError) as exc:
-            print(prefix, exc, file=stderr)
-            return 1
-        except MemoryError as exc:  # e.g. numpy refusing a huge --length
-            print(prefix, str(exc) or "out of memory", file=stderr)
-            return 1
+    return 0
 
 
 def main() -> None:

@@ -46,8 +46,8 @@ PI_FLOOR = 1e-9
 DEFAULT_PRECISION = 62
 ENTROPY_TOL = 1e-12  # |H(pi) - h| at which entropy_inverse stops
 # The decoder steps runs of 1s in unchecked groups of 8 when total / f0, about
-# 1 / pi, reaches this.  Measured: the groups won at pi 0.004 and below, and
-# lost at 0.01, where runs are too short to pay for the bound.
+# 1 / pi, reaches this: at pi up to about 1/256 (0.0039).  At pi 0.05 and
+# above the groups lose, as runs are too short to pay for the bound.
 _GROUP_RUN = 256
 
 
@@ -116,17 +116,21 @@ def _freq_split(pi: float, precision: int) -> tuple[int, int]:
     return f0, total
 
 
-def bernoulli_encode(x, pi: float, precision: int = DEFAULT_PRECISION) -> BitSequence:
-    """Arithmetic-code a bit stream under the iid model P(0) = pi."""
+def _coder(pi: float, precision: int) -> tuple[int, ...]:
+    """Check the coder's arguments; return its model (f0, total, sh), where
+    total = 1 << sh, and registers (mask, half_mask, top, second)."""
     if not 0.0 < pi < 1.0:
         raise ValueError(f"pi must lie strictly inside (0, 1), got {pi!r}")
     _check_precision(precision)
     f0, total = _freq_split(pi, precision)
-    sh = total.bit_length() - 1  # total is a power of two
     mask = (1 << precision) - 1
-    half_mask = mask >> 1
     top = 1 << (precision - 1)
-    second = top >> 1
+    return f0, total, total.bit_length() - 1, mask, mask >> 1, top, top >> 1
+
+
+def bernoulli_encode(x, pi: float, precision: int = DEFAULT_PRECISION) -> BitSequence:
+    """Arithmetic-code a bit stream under the iid model P(0) = pi."""
+    f0, _, sh, mask, half_mask, top, second = _coder(pi, precision)
     low, high = 0, mask
     pending = 0  # straddle shifts whose bits follow the next emitted bit, inverted
     out = bytearray()
@@ -161,18 +165,10 @@ def bernoulli_decode(code, pi: float, n: int,
     Bits past the end of the code word are taken as zero, so any code
     word decodes to any requested length.
     """
-    if not 0.0 < pi < 1.0:
-        raise ValueError(f"pi must lie strictly inside (0, 1), got {pi!r}")
+    f0, total, sh, mask, half_mask, top, second = _coder(pi, precision)
     if n < 0:
         raise ValueError("output length must be nonnegative")
-    _check_precision(precision)
-    f0, total = _freq_split(pi, precision)
-    sh = total.bit_length() - 1  # total is a power of two
     f1 = total - f0
-    mask = (1 << precision) - 1
-    half_mask = mask >> 1
-    top = 1 << (precision - 1)
-    second = top >> 1
     # Exhausted code words continue with zeros: decoding is total.  `ones`
     # runs to the code's last 1.
     ones = iter(np.trim_zeros(as_bit_array(code), "b").tolist())

@@ -24,44 +24,43 @@ from .bitseq import BitSequence, as_bit_array
 from .kernels import Variant, context_to_int, int_to_context, pi_letter
 
 
-def _transform(x: np.ndarray, v: np.ndarray, offset: int) -> np.ndarray:
-    # Prefix-XOR form: with c_i the running XOR of the extended output,
-    # c_i = x_i ^ offset ^ c_{i-k-1}, so the c-chain splits into k+1
-    # independent cumulative-XOR strides and y_i = c_i ^ c_{i-1}.  Row 0
-    # holds the seeds c_{-k-1} .. c_{-1} (0 and the prefix XORs of v); the
-    # rows below it hold x ^ offset, zero-padded to whole rows.
-    k = v.size
-    n = x.size
-    c = np.zeros((-(-n // (k + 1)) + 1, k + 1), dtype=np.uint8)
-    np.bitwise_xor.accumulate(v, out=c[0, 1:])
-    flat = c.reshape(-1)
-    np.bitwise_xor(x, np.uint8(offset), out=flat[k + 1:k + 1 + n])
-    np.bitwise_xor.accumulate(c, axis=0, out=c)
-    return flat[k + 1:k + 1 + n] ^ flat[k:k + n]
+def _bit_arrays(x, v) -> tuple[np.ndarray, np.ndarray]:
+    xb = as_bit_array(x)
+    vb = as_bit_array(v)
+    if vb.size < 1:
+        raise ValueError("initial word must contain at least one bit")
+    return xb, vb
 
 
 def transform(x, v, variant: Variant = Variant.PLAIN) -> BitSequence:
     """Convert stream x with initial word v; output length equals input
     length and the i-th output depends on x_i and the previous k outputs."""
-    xb = as_bit_array(x)
-    vb = as_bit_array(v)
-    if vb.size < 1:
-        raise ValueError("initial word must contain at least one bit")
-    return BitSequence._wrap(_transform(xb, vb, pi_letter(variant, 0)))
+    xb, vb = _bit_arrays(x, v)
+    # Prefix-XOR form: with c_i the running XOR of the extended output,
+    # c_i = x_i ^ offset ^ c_{i-k-1}, so the c-chain splits into k+1
+    # independent cumulative-XOR strides and y_i = c_i ^ c_{i-1}.  Row 0
+    # holds the seeds c_{-k-1} .. c_{-1} (0 and the prefix XORs of v); the
+    # rows below it hold x ^ offset, zero-padded to whole rows.
+    k = vb.size
+    n = xb.size
+    c = np.zeros((-(-n // (k + 1)) + 1, k + 1), dtype=np.uint8)
+    np.bitwise_xor.accumulate(vb, out=c[0, 1:])
+    flat = c.reshape(-1)
+    np.bitwise_xor(xb, np.uint8(pi_letter(variant, 0)), out=flat[k + 1:k + 1 + n])
+    np.bitwise_xor.accumulate(c, axis=0, out=c)
+    return BitSequence._wrap(flat[k + 1:k + 1 + n] ^ flat[k:k + n])
 
 
 def inverse_transform(y, v, variant: Variant = Variant.PLAIN) -> BitSequence:
     """Recover the input stream from an output stream and its initial word."""
-    yb = as_bit_array(y)
-    vb = as_bit_array(v)
-    if vb.size < 1:
-        raise ValueError("initial word must contain at least one bit")
+    yb, vb = _bit_arrays(y, v)
+    # With c the prefix XOR of (0, v, y), y_i = c_{k+1+i} ^ c_{k+i} and the
+    # parity of its window is c_{k+i} ^ c_i, so x_i = c_{k+1+i} ^ c_i ^ offset.
     k = vb.size
     n = yb.size
-    ext = np.concatenate([vb, yb])
-    prefix = np.concatenate([np.zeros(1, np.uint8), np.bitwise_xor.accumulate(ext)])
-    xb = yb ^ prefix[k:k + n] ^ prefix[:n]
+    c = np.concatenate([np.zeros(1, np.uint8), vb, yb])
+    np.bitwise_xor.accumulate(c, out=c)
+    xb = c[k + 1:] ^ c[:n]
     if pi_letter(variant, 0):
         xb ^= np.uint8(1)
     return BitSequence._wrap(xb)
-

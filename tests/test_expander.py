@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +152,15 @@ def test_decode_edge_args():
         bernoulli_decode(BitSequence("101"), 0.3, -1)
     with pytest.raises(ValueError):
         bernoulli_encode(BitSequence("101"), 0.0)
+
+
+@pytest.mark.parametrize("pi", [0.0, 1.0, -0.1, float("nan")])
+def test_coders_reject_pi_outside_open_interval(pi):
+    message = re.escape(f"pi must lie strictly inside (0, 1), got {pi!r}")
+    with pytest.raises(ValueError, match=message):
+        bernoulli_encode(BitSequence("101"), pi)
+    with pytest.raises(ValueError, match=message):
+        bernoulli_decode(BitSequence("101"), pi, 3)
 
 
 def test_expand_deterministic():

@@ -1,9 +1,9 @@
 """Static checks of three design rules, read from the source by `ast`:
 the test-only oracles in `_reference` stay out of the package and of the
-scripts, which use its public, uncapped API; production draws go through
-`UniformRealSource.at_least`, the package's one way to draw randomness,
-never through `reals`; and every name a package module or script imports
-is used in it."""
+scripts, which use its public, uncapped API; no package module or script
+draws through `reals`, as `UniformRealSource.at_least` is the package's
+one way to draw randomness; and every name a package module or script
+imports is used in it."""
 import ast
 from pathlib import Path
 
@@ -46,7 +46,7 @@ def test_no_module_imports_reference(path):
     assert not lines, f"{path.name} imports _reference at lines {lines}"
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=_path_id)
 def test_no_module_draws_through_reals(path):
     lines = [n.lineno for n in ast.walk(_tree(path))
              if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
