@@ -225,6 +225,36 @@ def test_sampler_steps_peak_bytes_per_bit(order):
     assert peak < 6 * n
 
 
+# sha256 of each step table, as built by eight broadcast steps over all
+# 2^17 entries: a cheaper build must give the same bytes
+_BYTE_STEPS_DIGESTS = {
+    1: "6694bbe1d415449400901576490023b14f325be11c9378a6dfbb446b872d753b",
+    2: "af9e31415e06e2a6786f9db057dfff72dd1bb485fff7cf8a8dd1dceb68b7c045",
+    3: "d7a0f885e8658510e4afb23e6f20af7c332cd6b61686b3096cca2ca687432e09",
+    4: "c7d07fb34d06191f5f5b057effff6c8ff76a6f7f025fd1c285b79e5811a83968",
+    5: "be2bb842a4c0b2abf106d551827d63d3f01118b32ee3e20d2ce9dfc113a5520a",
+    6: "90724b69016092eaa3a2d84e70f2ad06acf203904b35e90d55e77b8ff7a8a648",
+    7: "272ce1b9781835fc6ce3f5dfa6405f84860ab03b5d7a475a6d358d24898db5ab",
+    8: "e207d800077dbdf50b5d2f812a56cddf8d569358edca7e9428b4c474fa71a3a9",
+}
+_WIDE_STEPS_DIGEST = "8ea89760e9640853091c367e9367a4daea12dc7a858d3d86113f5f242db9a856"
+
+
+def _tables_digest(*tables):
+    h = hashlib.sha256()
+    for t in tables:
+        h.update(t)
+    return h.hexdigest()
+
+
+def test_step_tables_match_pins():
+    for s, want in _BYTE_STEPS_DIGESTS.items():
+        masked, carry = generator._byte_steps(s)
+        assert _tables_digest(masked, np.asarray(carry, "<u2")) == want, s
+    masked, final, letters, resets = generator._wide_steps()
+    assert _tables_digest(masked, final, np.asarray(letters, "<u2"), resets) == _WIDE_STEPS_DIGEST
+
+
 @given(st.integers(8, 3000).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, 3 * k))),
        st.sampled_from([0.2, 0.77]), st.sampled_from(Variant), st.integers(0, 2 ** 32))
 @settings(max_examples=60, deadline=None)
