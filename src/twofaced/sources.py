@@ -9,9 +9,12 @@ Two source contracts are used throughout the package:
   value is ``mantissa / 2**53``.  Its ``at_least`` compares the draws
   with thresholds straight from the source's packed bytes, without
   making floats: eight draws fill exactly 53 bytes, so each draw is one
-  8-byte load.  It agrees with ``reals(n) >= t`` exactly.  Per draw,
-  ``at_least`` holds about 38 bytes of temporaries and ``reals`` 68;
-  ``generate`` bounds them by calling ``at_least`` a pass at a time.
+  8-byte load.  It agrees with ``reals(n) >= t`` exactly.  It works in
+  buffers that the source keeps from call to call, about 31 bytes per
+  draw of its largest call and 7 more for a counter source's ramp, and
+  allocates only the bools it returns; ``reals`` allocates 68 bytes per
+  draw.  ``generate`` bounds the kept buffers by calling ``at_least`` a
+  pass at a time.
 
 The deterministic implementation is counter-mode splitmix64: block i of
 the stream is ``mix64(seed + (i + 1) * 0x9E3779B97F4A7C15)`` and the 64
@@ -36,20 +39,29 @@ _MIX2 = 0x94D049BB133111EB
 _MASK53 = np.uint64((1 << 53) - 1)
 
 
-def _finalize(z: np.ndarray) -> np.ndarray:
-    """The splitmix64 finalizer, in place on a uint64 array (mod 2^64)."""
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
+def _finalize(z: np.ndarray, temp: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer, in place on a uint64 array (mod 2^64);
+    `temp` is scratch of the same size."""
+    for shift, multiplier in ((30, _MIX1), (27, _MIX2), (31, None)):
+        np.right_shift(z, np.uint64(shift), out=temp)
+        z ^= temp
+        if multiplier:
+            z *= np.uint64(multiplier)
     return z
+
+
+def _ramp(size: int) -> np.ndarray:
+    """(i + 1) * GAMMA mod 2^64 for i < size: the counter less its offset."""
+    ramp = np.arange(1, size + 1, dtype=np.uint64)
+    ramp *= np.uint64(_GAMMA)
+    return ramp
 
 
 def mix64(z: int) -> int:
     """The splitmix64 finalizer on a 64-bit word."""
     # A one-element array, not an np.uint64 scalar: scalars warn on overflow.
-    return int(_finalize(np.array([z & _MASK64], dtype=np.uint64))[0])
+    word = np.array([z & _MASK64], dtype=np.uint64)
+    return int(_finalize(word, np.empty_like(word))[0])
 
 
 class BitSource:
@@ -65,6 +77,14 @@ class BitSource:
     def packed(self, n: int) -> np.ndarray:
         return np.packbits(self.bits(n), bitorder="little")
 
+    def _fill(self, words: np.ndarray, n: int, temp: np.ndarray) -> int:
+        """Write the next n bits into the bytes of `words`, a "<u8" array,
+        from bit `start` on, and return start (below 64).  Bytes past the
+        n bits keep whatever they held; `temp` is uint64 scratch."""
+        raw = self.packed(n)
+        words.view(np.uint8)[:raw.size] = raw
+        return 0
+
 
 class CounterBitSource(BitSource):
     """Deterministic bit stream keyed by a 64-bit seed."""
@@ -74,6 +94,7 @@ class CounterBitSource(BitSource):
         if not 0 <= self.seed <= _MASK64:
             raise ValueError(f"seed must lie in [0, 2^64), got {seed!r}")
         self._pos = 0  # absolute bit position
+        self._ramp = _ramp(0)  # `_fill`'s, grown to its largest call
 
     def bits(self, n: int) -> np.ndarray:
         return np.unpackbits(self.packed(n), count=n, bitorder="little")
@@ -84,10 +105,9 @@ class CounterBitSource(BitSource):
         first, start = divmod(self._pos, 64)
         # One block more than is kept: a word that starts `start` bits into
         # block i ends in block i + 1.
-        z = np.arange(first + 1, first + -(-n // 64) + 2, dtype=np.uint64)
-        z *= np.uint64(_GAMMA)
-        z += np.uint64(self.seed)
-        _finalize(z)
+        z = np.empty(-(-n // 64) + 1, "<u8")
+        ramp = _ramp(z.size)
+        self._blocks(z, first, ramp, ramp)  # once added, the ramp is scratch
         if start:
             high = z[1:] << np.uint64(64 - start)
             z >>= np.uint64(start)
@@ -96,7 +116,24 @@ class CounterBitSource(BitSource):
         if n % 64:
             out[-1] &= np.uint64((1 << n % 64) - 1)
         self._pos += n
-        return out.astype("<u8", copy=False).view(np.uint8)[:-(-n // 8)]
+        return out.view(np.uint8)[:-(-n // 8)]
+
+    def _fill(self, words: np.ndarray, n: int, temp: np.ndarray) -> int:
+        """The blocks holding the next n bits, unshifted, with no copy."""
+        first, start = divmod(self._pos, 64)
+        z = words[:-(-(start + n) // 64)]
+        if self._ramp.size < z.size:
+            self._ramp = _ramp(z.size)
+        self._blocks(z, first, self._ramp, temp)
+        self._pos += n
+        return start
+
+    def _blocks(self, z: np.ndarray, first: int, ramp: np.ndarray, temp: np.ndarray) -> None:
+        """Blocks first, first + 1, ... of the stream into z, from a ramp
+        and uint64 scratch at least as long."""
+        # Block first + i is mix64((i + 1) * GAMMA + first * GAMMA + seed).
+        np.add(ramp[:z.size], np.uint64((first * _GAMMA + self.seed) & _MASK64), out=z)
+        _finalize(z, temp[:z.size])
 
 
 class OSBitSource(BitSource):
@@ -138,10 +175,15 @@ def _mark(t: float) -> np.uint64:
 
 
 class UniformRealSource:
-    """Uniform reals in [0, 1) folded from an underlying bit source."""
+    """Uniform reals in [0, 1) folded from an underlying bit source.
+
+    Single-owner: `at_least` works in buffers that the source keeps between
+    calls, sized to its largest call.
+    """
 
     def __init__(self, source: BitSource):
         self.source = source
+        self._words = self._fields = self._x = self._low = np.empty(0, np.uint64)
 
     @classmethod
     def from_seed(cls, seed: int) -> "UniformRealSource":
@@ -160,11 +202,12 @@ class UniformRealSource:
 
     def at_least(self, n: int, thresholds) -> list[np.ndarray]:
         """``reals(n) >= t`` for each threshold t in (0, 1], from the same 53n
-        bits, read once as packed bytes.
+        bits, read once from the source's bytes.
 
-        Eight draws fill exactly 53 bytes, so draw r of each group of eight
-        is the 53-bit field f read as one little-endian 8-byte load at byte
-        53r >> 3, shifted right by 53r & 7.  The field holds the mantissa's
+        The bits start `start` bits into the source's byte buffer, so draw
+        8q + r is the 53-bit field f read as one little-endian 8-byte load
+        at byte 53q + (53r + start >> 3), shifted right by 53r + start & 7:
+        eight draws fill exactly 53 bytes.  The field holds the mantissa's
         bits in reverse, first (most significant) lowest.
         With T = ceil(t * 2^53) - 1 and x = f ^ rev53(T), u >= t means
         mantissa > T: the highest mantissa bit where they differ is x's
@@ -174,20 +217,28 @@ class UniformRealSource:
             raise ValueError("draw count must be nonnegative")
         if not all(0.0 < t <= 1.0 for t in thresholds):
             raise ValueError(f"thresholds must lie in (0, 1], got {thresholds!r}")
+        if not n:
+            return [np.zeros(0, bool) for _ in thresholds]
         groups = -(-n // 8)  # the last group may be partial
-        # A spare group: a group's last load ends a byte into the next.
-        buf = np.zeros(53 * groups + 53, dtype=np.uint8)
-        raw = self.source.packed(53 * n)
-        buf[:raw.size] = raw
-        f = np.empty(8 * groups, dtype=np.uint64)
+        if self._fields.size < 8 * groups:
+            # At start 63 the last group's last load reads 9 bytes past it,
+            # and the counter writes whole blocks: 16 spare bytes cover both.
+            self._words = np.zeros(-(-(53 * groups + 16) // 8), "<u8")
+            self._fields, self._x, self._low = (np.empty(8 * groups, np.uint64)
+                                                for _ in range(3))
+        f, x, low = (a[:8 * groups] for a in (self._fields, self._x, self._low))
+        start = self.source._fill(self._words, 53 * n, x)
+        buf = self._words.view(np.uint8)
         for r in range(8):
-            loads = np.ndarray(groups, "<u8", buf, 53 * r >> 3, (53,))
-            np.right_shift(loads, np.uint64(53 * r & 7), out=f[r::8])
+            offset = 53 * r + start
+            loads = np.ndarray(groups, "<u8", buf, offset >> 3, (53,))
+            np.right_shift(loads, np.uint64(offset & 7), out=f[r::8])
         f &= _MASK53
         out = []
         for t in thresholds:
-            x = f ^ _mark(t)
-            x &= -x
+            np.bitwise_xor(f, _mark(t), out=x)
+            np.negative(x, out=low)
+            x &= low
             x &= f
-            out.append(np.not_equal(x, 0)[:n])
+            out.append(np.not_equal(x[:n], 0))
         return out

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -207,3 +209,67 @@ def test_counter_packed_equals_packed_bits(seed, skip, n):
     assert np.array_equal(packed, ReplayBitSource(bits).packed(n))
     assert packed.tobytes() == BitSequence(bits).to_packed()
     assert np.array_equal(src.bits(9), ref.bits(9))
+
+
+# Calls that grow the kept buffers, shrink them, cross the eight-draw period
+# and leave the stream at every kind of offset within a word.
+_CALLS = (5, 1000, 3, 8, 4097, 1, 999)
+
+
+def _draw_calls(src, calls, thresholds=(0.2, 0.8)):
+    return [src.at_least(n, thresholds) for n in calls]
+
+
+def test_sources_drawing_in_alternation_equal_each_alone():
+    # each source draws in its own buffers: interleaving two changes nothing
+    alone = [_draw_calls(UniformRealSource.from_seed(seed), _CALLS) for seed in (9, 1512)]
+    a, b = UniformRealSource.from_seed(9), UniformRealSource.from_seed(1512)
+    for n, want_a, want_b in zip(_CALLS, *alone):
+        for src, want in ((a, want_a), (b, want_b)):
+            got = src.at_least(n, (0.2, 0.8))
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), n
+
+
+def test_returned_arrays_survive_the_next_call():
+    src = UniformRealSource.from_seed(9)
+    got = src.at_least(1000, (0.2, 0.8))
+    want = [d.copy() for d in got]
+    _draw_calls(src, _CALLS)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    counter = CounterBitSource(9)
+    packed = counter.packed(1000)
+    want = packed.copy()
+    counter.packed(1000)
+    UniformRealSource(counter).at_least(1000, (0.5,))
+    assert np.array_equal(packed, want)
+
+
+def test_replayed_draws_in_calls_equal_one_call():
+    bits = CounterBitSource(5).bits(53 * sum(_CALLS) + 3)
+    src = ReplayBitSource(bits)
+    chunked = _draw_calls(UniformRealSource(src), _CALLS)
+    whole = UniformRealSource(ReplayBitSource(bits)).at_least(sum(_CALLS), (0.2, 0.8))
+    for i in range(2):
+        assert np.array_equal(np.concatenate([c[i] for c in chunked]), whole[i])
+    assert src.remaining == 3
+    with pytest.raises(SourceExhaustedError):
+        UniformRealSource(src).at_least(1, (0.5,))
+    assert src.remaining == 3  # nothing consumed
+
+
+@pytest.mark.parametrize("make", [lambda: CounterBitSource(9), lambda: ReplayBitSource(
+    CounterBitSource(9).bits(53 * 2 * (1 << 15)))])
+def test_second_pass_allocates_only_its_draws(make):
+    # the first pass sizes the kept buffers; the second allocates only the
+    # two n-bool results.  Each pass used to allocate about 38 B per draw.
+    n = 1 << 15
+    src = UniformRealSource(make())
+    src.at_least(n, (0.2, 0.8))
+    tracemalloc.start()
+    try:
+        src.at_least(n, (0.2, 0.8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    extra = 7 * n if isinstance(src.source, ReplayBitSource) else 0  # its bits and packed bytes
+    assert peak < 2 * n + extra + 4096
