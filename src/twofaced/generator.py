@@ -6,9 +6,10 @@ emits 0 iff u < P(0 | context).  It takes the compares u >= pi and
 u >= 1 - pi from `at_least`, which needs no floats, and takes 8 steps per
 table lookup at every order: the bits that leave the window during a byte
 of steps are known before it, as draws less the masked bits that the
-stepper carries.  It takes `_PASS_DRAWS` draws a pass, since `at_least`
-holds temporaries in proportion to its draws: past the output, memory
-stays bounded.
+stepper carries.  It takes `_PASS_DRAWS` draws a pass, since the
+`UniformRealSource` keeps `at_least`'s buffers at the size of its largest
+call: past the output, memory stays bounded, and every pass after the
+first reuses the first's buffers.
 
 Two steppers share one table from order 8 up; each order below 8 has its
 own.  Below `_SCAN_ORDER` a table loop takes one Python iteration per
@@ -42,8 +43,11 @@ from .kernels import KernelSpec, as_context, context_to_int, int_to_context, pi_
 if TYPE_CHECKING:
     from .sources import BitSource
 
-# Draws per `generate` pass, whole groups of 8 for `at_least`.  Measured:
-# 2^15 keeps a pass's temporaries in a 2 MB L2 cache; 2^16 and 2^17 ran slower.
+# Draws per `generate` pass, whole groups of 8 for `at_least`.  2^15 keeps a
+# pass's buffers, about 38 B a draw that the source keeps between passes, in
+# a 2 MB L2 cache.  Measured at order 8 on 10^6 bits, median of 9: 2^14,
+# 2^15, 2^16 and 2^17 took 45.7, 42.8, 41.8 and 45.2 ns/bit; 2^16 is within
+# the spread and would double the kept buffers.
 _PASS_DRAWS = 1 << 15
 # From these orders up `generate` steps by `_block_scan`: at multiples of 8,
 # and at other orders, whose leaving bytes straddle two history bytes.
@@ -98,6 +102,23 @@ def generate(state: GeneratorState, n: int, reals) -> BitSequence:
     return BitSequence._wrap(out)
 
 
+def _nibble_steps(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Four sampler steps at orders k with s = min(k, 8), as `_byte_steps`
+    takes eight: the masked bits and the final letter, shape (16, 2, 16) by
+    d, letter and x, a nibble of steps each, first step high.  The m of a
+    step s back feeds back within the nibble only for s < 4."""
+    d = np.arange(16, dtype=np.uint8).reshape(16, 1, 1)
+    x = d.reshape(1, 1, 16)
+    letter = np.arange(2, dtype=np.uint8).reshape(1, 2, 1)
+    m = np.zeros((16, 2, 16), np.uint8)
+    for j in range(3, -1, -1):  # the step at bit j; bit j + s is s steps back
+        d_j = d >> j & 1
+        c = x >> j & 1 ^ (m >> j + s & 1 if j + s < 4 else 0)
+        m |= (letter & d_j) << j
+        letter = letter & (d_j ^ 1) ^ c
+    return m, letter
+
+
 @functools.cache
 def _byte_steps(s: int) -> tuple[bytes, memoryview]:
     """Tables that take 8 sampler steps at once at orders k with
@@ -113,34 +134,51 @@ def _byte_steps(s: int) -> tuple[bytes, memoryview]:
     bytes, they give the byte's m and letter << 8 | (m << 8 - s) & 255: the
     final letter and the m that leave during the next byte, up to order 8.
     Below order 8 the table feeds back the m that leave within the byte.
-    Built on first use from uint8 broadcasts: 2^17 entries.
+
+    Built on first use from two nibbles of `_nibble_steps`: the second
+    nibble starts from the first's final letter, with the first's m that
+    leave during it, (m_hi << 4 >> s) & 15, XORed into its x.  So each
+    row d << 9 | letter << 8 | x_hi << 4 of 16 entries, x_lo = 0 .. 15, is
+    one of 512 rows (d_lo, the first's letter and m_hi), taken in one
+    gather.
     """
-    d = np.arange(256, dtype=np.uint8).reshape(256, 1, 1)
-    x = d.reshape(1, 1, 256)
-    letter = np.arange(2, dtype=np.uint8).reshape(1, 2, 1)
-    m = np.zeros((256, 2, 256), np.uint8)
-    for j in range(7, -1, -1):  # the step at bit j; bit j + s is s steps back
-        d_j = d >> j & 1
-        c = x >> j & 1 ^ (m >> j + s & 1 if j + s < 8 else 0)
-        m |= (letter & d_j) << j
-        letter = letter & (d_j ^ 1) ^ c
-    carry = letter.astype(np.uint16) << 8 | m << 8 - s
-    return m.tobytes(), memoryview(carry.ravel())
+    m, letter = _nibble_steps(s)
+    nib = np.arange(16)
+    # The second nibble by d_lo, its letter, m_hi and x_lo: the entry at
+    # x_lo ^ the feedback, with m_hi << 4 above its m.
+    second = (letter.astype(np.uint16) << 8 | m)[:, :, nib.reshape(16, 1) << 4 >> s & 15 ^ nib]
+    second |= (nib << 4).astype(np.uint16).reshape(16, 1)
+    # Its row for each d_hi, d_lo, letter and x_hi.
+    rows = nib.reshape(1, 16, 1, 1) << 5 | (letter.astype(np.intp) << 4 | m).reshape(16, 1, 2, 16)
+    steps = second.reshape(512, 16).take(rows, axis=0)  # letter << 8 | m
+    masked = steps.astype(np.uint8)
+    table = masked.tobytes()
+    if s < 8:
+        steps &= 0xFF00
+        masked <<= 8 - s
+        steps |= masked
+    return table, memoryview(steps.reshape(-1))
 
 
 @functools.cache
-def _wide_steps() -> tuple[np.ndarray, np.ndarray, list[int], np.ndarray]:
+def _wide_steps() -> tuple[np.ndarray, np.ndarray, memoryview, np.ndarray]:
     """`_byte_steps(8)` for the steppers above order 8: the masked bits and
     final letters as arrays for the block scan, the final letters shifted
-    by 8 as a list for the table loop (0 and 256 are cached ints, and a list
-    is the fastest lookup), and whether the byte resets the letter (its
-    final letter is the same from 0 and 1).  Built on first use."""
+    by 8 for the table loop, and whether the byte resets the letter (its
+    final letter is the same from 0 and 1).  Built on first use.
+
+    The loop reads the letters through a memoryview; 0 and 256 are cached
+    ints either way.  A list was about 12 ns a lookup faster at orders 64
+    and 512 but took about 1.9 ms to build in a fresh process, where the
+    ladder's table loop makes 7.5*10^4 lookups above order 8.
+    """
     masked, carry = _byte_steps(8)
-    final = (np.frombuffer(carry, np.uint16) >> 8).astype(np.uint8)
+    letters = np.frombuffer(carry, np.uint16) & 0xFF00
+    final = np.empty(letters.size, np.uint8)
+    np.right_shift(letters, 8, out=final, casting="unsafe")
     halves = final.reshape(256, 2, 256)
     resets = np.repeat(halves[:, :1] == halves[:, 1:], 2, axis=1).ravel()
-    return (np.frombuffer(masked, np.uint8), final,
-            (final.astype(np.uint16) << 8).tolist(), resets)
+    return np.frombuffer(masked, np.uint8), final, memoryview(letters), resets
 
 
 def _leaving(history: np.ndarray, pad: int, m: int) -> np.ndarray:
