@@ -584,9 +584,7 @@ def test_generate_peak_bytes_per_bit(order):
     # The output takes 1 B/bit.  Past it, memory is bounded by the pass size
     # P: the buffers the source keeps, about 38 B per draw of a pass, and a
     # pass's draws and steps, about 4 more, plus about 1 B per window bit.
-    # Drawing all n at once would hold 53 source bits each.  The bound held
-    # at 3 B/bit for 4*10^6 bits, 8 MB past the output; this one is 1.7 MB
-    # at most, and needs a tenth of the bits.
+    # Drawing all n at once would hold 53 source bits each.
     n = 4 * 10 ** 5
     src = CounterBitSource(5)
     state = init_uniform(_kernel(order), src)

@@ -261,7 +261,7 @@ def test_replayed_draws_in_calls_equal_one_call():
     CounterBitSource(9).bits(53 * 2 * (1 << 15)))])
 def test_second_pass_allocates_only_its_draws(make):
     # the first pass sizes the kept buffers; the second allocates only the
-    # two n-bool results.  Each pass used to allocate about 38 B per draw.
+    # two n-bool results, where one pass-sized uint64 temporary takes 8n
     n = 1 << 15
     src = UniformRealSource(make())
     src.at_least(n, (0.2, 0.8))
