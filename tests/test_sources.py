@@ -216,8 +216,8 @@ def test_counter_packed_equals_packed_bits(seed, skip, n):
 _CALLS = (5, 1000, 3, 8, 4097, 1, 999)
 
 
-def _draw_calls(src, calls, thresholds=(0.2, 0.8)):
-    return [src.at_least(n, thresholds) for n in calls]
+def _draw_calls(src, calls):
+    return [src.at_least(n, (0.2, 0.8)) for n in calls]
 
 
 def test_sources_drawing_in_alternation_equal_each_alone():
@@ -258,7 +258,7 @@ def test_replayed_draws_in_calls_equal_one_call():
 
 
 @pytest.mark.parametrize("make", [lambda: CounterBitSource(9), lambda: ReplayBitSource(
-    CounterBitSource(9).bits(53 * 2 * (1 << 15)))])
+    CounterBitSource(9).bits(53 * 2 * (1 << 15)))], ids=["counter", "replay"])
 def test_second_pass_allocates_only_its_draws(make):
     # the first pass sizes the kept buffers; the second allocates only the
     # two n-bool results, where one pass-sized uint64 temporary takes 8n
@@ -271,5 +271,5 @@ def test_second_pass_allocates_only_its_draws(make):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    extra = 7 * n if isinstance(src.source, ReplayBitSource) else 0  # its bits and packed bytes
+    extra = 7 * n if isinstance(src.source, ReplayBitSource) else 0  # its packed bytes, 53n / 8
     assert peak < 2 * n + extra + 4096
