@@ -66,7 +66,8 @@ class ComponentSpec:
     seed: int
 
     def __post_init__(self):
-        CounterBitSource(self.seed)  # reject a bad seed here, not when first built
+        # Reject a bad seed here, not when first built, and keep it as an int.
+        object.__setattr__(self, "seed", CounterBitSource(self.seed).seed)
 
 
 @dataclass(frozen=True)

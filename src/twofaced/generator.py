@@ -61,8 +61,8 @@ class GeneratorState:
     """A kernel plus the sliding window of the last `order` emitted bits.
 
     The window is stored as one integer, oldest bit most significant;
-    `context_to_int` and `int_to_context` are its only conversions to and
-    from bit form (the table stepper reads it packed, by `int.to_bytes`).
+    `context_to_int` and `int_to_context` convert it from and to bit form,
+    and a pass reads it by `int.to_bytes` and folds it from packed bytes.
     Single-owner and sequential: the Markov dependence
     forbids parallel emission within one stream.
     """
@@ -209,10 +209,11 @@ def _generate_steps(state: GeneratorState, ge_pi, ge_q) -> np.ndarray:
     dx |= g ^ _leaving(history, pad, g.size)
     letter = pi_letter(state.kernel.variant, state.context)
     steps = _block_scan if k >= _SCAN_ORDER[pad > 0] else _table_loop
-    out = np.unpackbits(g ^ steps(dx, k, letter), count=ge_pi.size)
-    tail = out[max(out.size - k, 0):]
-    state.context = (state.context << tail.size | context_to_int(tail)) & ((1 << k) - 1)
-    return out
+    out = g ^ steps(dx, k, letter)
+    tail = out[-k // 8 - 1:]  # ends in the new window, then (-n) mod 8 zero bits
+    window = state.context << 8 * tail.size | int.from_bytes(tail, "big")
+    state.context = (window >> -ge_pi.size % 8) & ((1 << k) - 1)
+    return np.unpackbits(out, count=ge_pi.size)
 
 
 def _table_loop(dx, k: int, letter: int) -> np.ndarray:

@@ -18,13 +18,16 @@ Two source contracts are used throughout the package:
 
 The deterministic implementation is counter-mode splitmix64: block i of
 the stream is ``mix64(seed + (i + 1) * 0x9E3779B97F4A7C15)`` and the 64
-bits of each block are consumed least-significant first.  Same seed,
-same stream, on every platform; golden vectors are pinned in the tests.
+bits of each block are consumed least-significant first.  One path,
+``_fill``, makes the blocks for ``packed`` and for the draws, and ``bits``
+unpacks ``packed``.  Same seed, same stream, on every platform; golden
+vectors are pinned in the tests.
 """
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 
 import numpy as np
@@ -50,13 +53,6 @@ def _finalize(z: np.ndarray, temp: np.ndarray) -> np.ndarray:
     return z
 
 
-def _ramp(size: int) -> np.ndarray:
-    """(i + 1) * GAMMA mod 2^64 for i < size: the counter less its offset."""
-    ramp = np.arange(1, size + 1, dtype=np.uint64)
-    ramp *= np.uint64(_GAMMA)
-    return ramp
-
-
 def mix64(z: int) -> int:
     """The splitmix64 finalizer on a 64-bit word."""
     # A one-element array, not an np.uint64 scalar: scalars warn on overflow.
@@ -69,10 +65,13 @@ class BitSource:
 
     ``packed(n)`` returns them as ``bitseq``'s packed bytes: ceil(n / 8)
     uint8, the first bit lowest in the first byte, bits past the n-th 0.
+    A source makes one of the two and inherits the other: the counter and
+    OS sources make ``packed``, a replay source ``bits``.  The draws read
+    ``_fill``, which the counter source overrides to make its blocks in place.
     """
 
     def bits(self, n: int) -> np.ndarray:
-        raise NotImplementedError
+        return np.unpackbits(self.packed(n), count=n, bitorder="little")
 
     def packed(self, n: int) -> np.ndarray:
         return np.packbits(self.bits(n), bitorder="little")
@@ -90,60 +89,57 @@ class CounterBitSource(BitSource):
     """Deterministic bit stream keyed by a 64-bit seed."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
+        try:
+            self.seed = operator.index(seed)
+        except TypeError:
+            raise ValueError(f"seed must be an integer, got {seed!r}") from None
         if not 0 <= self.seed <= _MASK64:
             raise ValueError(f"seed must lie in [0, 2^64), got {seed!r}")
         self._pos = 0  # absolute bit position
-        self._ramp = _ramp(0)  # `_fill`'s, grown to its largest call
+        self._ramp = np.empty(0, np.uint64)  # `_fill`'s, grown to its largest call
 
-    def bits(self, n: int) -> np.ndarray:
-        return np.unpackbits(self.packed(n), count=n, bitorder="little")
+    bits = BitSource.bits  # its own attribute, where bench/tracer.py wraps it
 
     def packed(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError("bit count must be nonnegative")
-        first, start = divmod(self._pos, 64)
         # One block more than is kept: a word that starts `start` bits into
-        # block i ends in block i + 1.
+        # block i ends in block i + 1.  Where `_fill` leaves that block
+        # unwritten, its bits shift only past n, and the mask clears them.
         z = np.empty(-(-n // 64) + 1, "<u8")
-        ramp = _ramp(z.size)
-        self._blocks(z, first, ramp, ramp)  # once added, the ramp is scratch
+        temp = np.empty_like(z)
+        start = self._fill(z, n, temp)
         if start:
-            high = z[1:] << np.uint64(64 - start)
+            high = np.left_shift(z[1:], np.uint64(64 - start), out=temp[1:])
             z >>= np.uint64(start)
             z[:-1] |= high
         out = z[:-1]
-        if n % 64:
-            out[-1] &= np.uint64((1 << n % 64) - 1)
-        self._pos += n
+        out[n // 64:] &= np.uint64((1 << n % 64) - 1)  # a partial last word
         return out.view(np.uint8)[:-(-n // 8)]
 
     def _fill(self, words: np.ndarray, n: int, temp: np.ndarray) -> int:
         """The blocks holding the next n bits, unshifted, with no copy."""
         first, start = divmod(self._pos, 64)
         z = words[:-(-(start + n) // 64)]
-        if self._ramp.size < z.size:
-            self._ramp = _ramp(z.size)
-        self._blocks(z, first, self._ramp, temp)
+        if self._ramp.size < z.size:  # (i + 1) * GAMMA: the counter less its offset
+            self._ramp = np.arange(1, z.size + 1, dtype=np.uint64)
+            self._ramp *= np.uint64(_GAMMA)
+        # Block first + i is mix64((i + 1) * GAMMA + first * GAMMA + seed).
+        np.add(self._ramp[:z.size], np.uint64((first * _GAMMA + self.seed) & _MASK64), out=z)
+        _finalize(z, temp[:z.size])
         self._pos += n
         return start
-
-    def _blocks(self, z: np.ndarray, first: int, ramp: np.ndarray, temp: np.ndarray) -> None:
-        """Blocks first, first + 1, ... of the stream into z, from a ramp
-        and uint64 scratch at least as long."""
-        # Block first + i is mix64((i + 1) * GAMMA + first * GAMMA + seed).
-        np.add(ramp[:z.size], np.uint64((first * _GAMMA + self.seed) & _MASK64), out=z)
-        _finalize(z, temp[:z.size])
 
 
 class OSBitSource(BitSource):
     """Bits from the operating system entropy pool (not reproducible)."""
 
-    def bits(self, n: int) -> np.ndarray:
+    def packed(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError("bit count must be nonnegative")
-        raw = np.frombuffer(os.urandom((n + 7) // 8), dtype=np.uint8)
-        return np.unpackbits(raw, count=n, bitorder="little")
+        raw = np.frombuffer(bytearray(os.urandom(-(-n // 8))), np.uint8)
+        raw[n // 8:] &= (1 << n % 8) - 1  # a partial last byte
+        return raw
 
 
 class ReplayBitSource(BitSource):

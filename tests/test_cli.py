@@ -72,6 +72,13 @@ def test_gen_matches_library():
     assert decode_stream(out, "ascii01") == want
 
 
+def test_gen_seed_flag_parses_as_before():
+    # --seed takes a decimal integer; a float is a usage error, not truncated
+    argv = ["gen", "--order", "3", "--pi", "0.2", "--length", "64", "--seed"]
+    assert invoke(argv + ["1.9"])[0] == 2
+    assert invoke(argv + ["+5"]) == invoke(argv + ["5"])
+
+
 def test_gen_fixed_init_and_entropy_file(tmp_path):
     entropy = BitSequence(CounterBitSource(1).bits(64 * 53))
     path = tmp_path / "bits.bin"

@@ -188,6 +188,15 @@ def test_config_rejects_seeds_outside_64_bits():
     assert default_config(pi=0.2, seed=(1 << 64) - 1, n=100).components
 
 
+def test_component_seed_is_not_truncated():
+    # once sampled as seed 2 and rendered as seed=2.5, which parse_config refuses
+    with pytest.raises(ValueError, match="seed must be an integer, got 2.5"):
+        ComponentSpec(KernelSpec(Variant.PLAIN, 2, 0.2), 2.5)
+    for seed in (np.uint64(5), True):  # kept as the int that render_config writes
+        spec = ComponentSpec(KernelSpec(Variant.PLAIN, 2, 0.2), seed)
+        assert type(spec.seed) is int and spec.seed == int(seed)
+
+
 def test_config_rejects_repeated_keys():
     for line in ("component order=2 pi=0.2 seed=1 order=3",
                  "component order=2 pi=0.2 seed=1 variant=bar variant=plain"):

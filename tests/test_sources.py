@@ -70,6 +70,25 @@ def test_os_source_shape():
     assert out.size == 37 and set(out.tolist()) <= {0, 1}
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 37])
+def test_os_packed_contract(n):
+    src = OSBitSource()
+    for _ in range(8):  # random bytes: a fill left unzeroed shows within a few reads
+        out = src.packed(n)
+        assert out.dtype == np.uint8 and out.size == -(-n // 8)
+        assert not np.unpackbits(out, bitorder="little")[n:].any()
+
+
+def test_counter_seed_must_be_an_integer():
+    # no silent truncation: 1.9 is not seed 1, nor "7" seed 7
+    for bad in (1.9, "7", 2.5, None):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            CounterBitSource(bad)
+    src = CounterBitSource(np.uint64(5))
+    assert type(src.seed) is int and src.seed == 5
+    assert np.array_equal(src.bits(200), CounterBitSource(5).bits(200))
+
+
 def test_replay_source_exhaustion():
     src = ReplayBitSource("1010")
     assert src.bits(3).tolist() == [1, 0, 1]
@@ -257,9 +276,13 @@ def test_replayed_draws_in_calls_equal_one_call():
     assert src.remaining == 3  # nothing consumed
 
 
-@pytest.mark.parametrize("make", [lambda: CounterBitSource(9), lambda: ReplayBitSource(
-    CounterBitSource(9).bits(53 * 2 * (1 << 15)))], ids=["counter", "replay"])
-def test_second_pass_allocates_only_its_draws(make):
+# The extra bytes per draw that a source allocates for its packed bytes:
+# a replay source's 53n / 8, and os.urandom's with their writable copy.
+@pytest.mark.parametrize("make, extra", [
+    (lambda: CounterBitSource(9), 0),
+    (lambda: ReplayBitSource(CounterBitSource(9).bits(53 * 2 * (1 << 15))), 7),
+    (OSBitSource, 14)], ids=["counter", "replay", "os"])
+def test_second_pass_allocates_only_its_draws(make, extra):
     # the first pass sizes the kept buffers; the second allocates only the
     # two n-bool results, where one pass-sized uint64 temporary takes 8n
     n = 1 << 15
@@ -271,5 +294,24 @@ def test_second_pass_allocates_only_its_draws(make):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    extra = 7 * n if isinstance(src.source, ReplayBitSource) else 0  # its packed bytes, 53n / 8
-    assert peak < 2 * n + extra + 4096
+    assert peak < 2 * n + extra * n + 4096
+
+
+_CALL = st.tuples(st.sampled_from(["packed", "bits", "draws"]), st.integers(0, 700))
+
+
+@given(st.integers(0, _M64), st.lists(_CALL, min_size=1, max_size=8))
+def test_packed_bits_and_draws_read_one_block_path(seed, calls):
+    # one counter source through packed, bits and draws in any order, at
+    # sizes that cross 64-bit words and grow the kept ramp and draw buffers
+    total = sum(53 * n if op == "draws" else n for op, n in calls)
+    ref = ReplayBitSource(CounterBitSource(seed).bits(total))
+    src = CounterBitSource(seed)
+    draws, ref_draws = UniformRealSource(src), UniformRealSource(ref)
+    for op, n in calls:
+        if op == "draws":
+            got, want = draws.at_least(n, (0.2, 0.8)), ref_draws.at_least(n, (0.2, 0.8))
+        else:
+            got, want = [getattr(src, op)(n)], [getattr(ref, op)(n)]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), (op, n)
+    assert ref.remaining == 0
