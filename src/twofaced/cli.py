@@ -17,8 +17,13 @@ from __future__ import annotations
 import argparse
 import codecs
 import contextlib
+import os
 import sys
 import warnings
+
+# Before numpy loads: the package makes no BLAS call, so OpenBLAS's worker
+# threads would only slow each start.  A caller's own setting wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # Each start compiles only what its command runs: stats, combine and sources
 # are imported inside the commands that use them.  The names below stay

@@ -142,10 +142,15 @@ def parse_config(text: str) -> TwiceTwoFacedConfig:
             continue
         fields = line.split()
         try:
-            if fields[0] == "cut" and len(fields) == 2:
+            if fields[0] == "cut":
+                if len(fields) != 2:
+                    raise ValueError(f"cut takes one position, got {len(fields) - 1}")
                 cuts.append(int(fields[1]))
                 continue
             if fields[0] == "component":
+                bare = [f for f in fields[1:] if "=" not in f]
+                if bare:
+                    raise ValueError(f"component field {bare[0]!r} is not key=value")
                 kv = dict(f.split("=", 1) for f in fields[1:])
                 if len(kv) < len(fields) - 1:
                     raise ValueError(f"repeated key in {' '.join(fields[1:])!r}")

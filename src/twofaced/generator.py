@@ -15,15 +15,16 @@ Two steppers share one table from order 8 up; each order below 8 has its
 own.  Below `_SCAN_ORDER` a table loop takes one Python iteration per
 lookup.  From it up, `_block_scan` steps a block of order // 8 output
 bytes per round of numpy calls, since every bit leaving the window during
-a block was emitted before it.  A round costs about 14 us whatever its
-length, so the scan pays only once blocks are long: on 2^15-draw passes
-it took 1.67 times the loop's time at order 512, 1.10 at 768 and 0.99 at
-832, and from 896 up it won, taking 0.87 of it at 1024, 0.42 at 4096 and
-0.29 at 2^17.  At orders that are not a multiple of 8 each leaving byte
-straddles two history bytes, which costs the loop a lookup's worth more
-per byte but the scan one more shift per block, so there the two tied
-between 513 and 545, and from 577 up the scan won, taking 0.76 of the
-loop's time at 705-769 and 0.22 at 2^17 - 3.
+a block was emitted before it; it reads the loop's letters, shifted by 8,
+and a byte whose d is not 0 resets the letter.  A round costs about 14 us
+whatever its length, so the scan pays only once blocks are long: on
+2^15-draw passes it took 1.67 times the loop's time at order 512, 1.10 at
+768 and 0.99 at 832, and from 896 up it won, taking 0.87 of it at 1024,
+0.42 at 4096 and 0.29 at 2^17.  At orders that are not a multiple of 8
+each leaving byte straddles two history bytes, which costs the loop a
+lookup's worth more per byte but the scan one more shift per block, so
+there the two tied between 513 and 545, and from 577 up the scan won,
+taking 0.76 of the loop's time at 705-769 and 0.22 at 2^17 - 3.
 
 `exact_conditional_entropy` is the entropy staircase in closed form; the
 2^k-state chain in `twofaced._reference` checks it.
@@ -153,32 +154,23 @@ def _byte_steps(s: int) -> tuple[bytes, memoryview]:
     steps = second.reshape(512, 16).take(rows, axis=0)  # letter << 8 | m
     masked = steps.astype(np.uint8)
     table = masked.tobytes()
-    if s < 8:
-        steps &= 0xFF00
-        masked <<= 8 - s
-        steps |= masked
+    steps &= 0xFF00
+    masked <<= 8 - s
+    steps |= masked
     return table, memoryview(steps.reshape(-1))
 
 
 @functools.cache
-def _wide_steps() -> tuple[np.ndarray, np.ndarray, memoryview, np.ndarray]:
-    """`_byte_steps(8)` for the steppers above order 8: the masked bits and
-    final letters as arrays for the block scan, the final letters shifted
-    by 8 for the table loop, and whether the byte resets the letter (its
-    final letter is the same from 0 and 1).  Built on first use.
+def _wide_steps() -> memoryview:
+    """`_byte_steps(8)`'s final letters shifted by 8: both steppers above
+    order 8 carry them alone, as there the m leave through the history.
 
-    The loop reads the letters through a memoryview; 0 and 256 are cached
-    ints either way.  A list was about 12 ns a lookup faster at orders 64
-    and 512 but took about 1.9 ms to build in a fresh process, where the
+    The loop reads them through a memoryview; 0 and 256 are cached ints
+    either way.  A list was about 12 ns a lookup faster at orders 64 and
+    512 but took about 1.9 ms to build in a fresh process, where the
     ladder's table loop makes 7.5*10^4 lookups above order 8.
     """
-    masked, carry = _byte_steps(8)
-    letters = np.frombuffer(carry, np.uint16) & 0xFF00
-    final = np.empty(letters.size, np.uint8)
-    np.right_shift(letters, 8, out=final, casting="unsafe")
-    halves = final.reshape(256, 2, 256)
-    resets = np.repeat(halves[:, :1] == halves[:, 1:], 2, axis=1).ravel()
-    return np.frombuffer(masked, np.uint8), final, memoryview(letters), resets
+    return memoryview(np.frombuffer(_byte_steps(8)[1], np.uint16) & 0xFF00)
 
 
 def _leaving(history: np.ndarray, pad: int, m: int) -> np.ndarray:
@@ -207,9 +199,8 @@ def _generate_steps(state: GeneratorState, ge_pi, ge_q) -> np.ndarray:
     dx = (np.packbits(ge_q) ^ g).astype(np.uint32)
     dx <<= 9
     dx |= g ^ _leaving(history, pad, g.size)
-    letter = pi_letter(state.kernel.variant, state.context)
     steps = _block_scan if k >= _SCAN_ORDER[pad > 0] else _table_loop
-    out = g ^ steps(dx, k, letter)
+    out = g ^ steps(dx, k, pi_letter(state.kernel.variant, state.context) << 8)
     tail = out[-k // 8 - 1:]  # ends in the new window, then (-n) mod 8 zero bits
     window = state.context << 8 * tail.size | int.from_bytes(tail, "big")
     state.context = (window >> -ge_pi.size % 8) & ((1 << k) - 1)
@@ -219,12 +210,11 @@ def _generate_steps(state: GeneratorState, ge_pi, ge_q) -> np.ndarray:
 def _table_loop(dx, k: int, letter: int) -> np.ndarray:
     """The masked bytes, one Python iteration and table lookup each."""
     masked, carry = _byte_steps(min(k, 8))
-    if k > 8:  # the m leave through the history, so carry the letter alone
-        carry = _wide_steps()[2]
+    if k > 8:
+        carry = _wide_steps()
     pad = -k % 8
     history = bytearray(-(-k // 8))  # the window's m, all 0
     emit = history.append
-    letter <<= 8
     if k <= 8:
         for dx_b in memoryview(dx):
             i = dx_b ^ letter
@@ -252,10 +242,12 @@ def _block_scan(dx, k: int, letter: int) -> np.ndarray:
     from before it.
 
     Within a block, the letter entering each byte is one segmented prefix
-    XOR: a byte that resets the letter starts a new segment, and any other
-    byte XORs the letter by its final letter from letter 0.
+    XOR of the loop's letters, shifted by 8: a byte with d != 0 resets the
+    letter (no m feeds back within it) and starts a new segment, and any
+    other byte XORs the letter by its final letter from letter 0.
     """
-    masked, final, _, resets = _wide_steps()
+    masked = np.frombuffer(_byte_steps(8)[0], np.uint8)
+    final = np.frombuffer(_wide_steps(), np.uint16)
     pad = -k % 8
     start = -(-k // 8)
     history = np.zeros(start + dx.size, np.uint8)
@@ -266,17 +258,17 @@ def _block_scan(dx, k: int, letter: int) -> np.ndarray:
     for b in range(0, dx.size, block):
         m = min(block, dx.size - b)
         idx = dx[b:b + m] ^ _leaving(history[b:], pad, m)
-        step = np.empty(m + 1, np.uint8)
+        step = np.empty(m + 1, np.uint16)
         step[0] = letter
         final.take(idx, out=step[1:])
         anchor = np.empty(m + 1, np.intp)
         anchor[0] = 0
-        np.multiply(resets.take(idx), positions[1:m + 1], out=anchor[1:])
+        np.multiply(idx >= 512, positions[1:m + 1], out=anchor[1:])  # d != 0
         np.maximum.accumulate(anchor, out=anchor)
         run = np.bitwise_xor.accumulate(step)
         # The letters entering bytes b .. b + m: the run since the segment start.
         letters = run ^ (run ^ step).take(anchor)
-        idx |= np.left_shift(letters[:m], 8, dtype=np.uint32)
+        idx |= letters[:m]
         masked.take(idx, out=history[start + b:start + b + m])
         letter = letters[m]
     return history[start:]

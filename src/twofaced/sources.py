@@ -19,8 +19,8 @@ Two source contracts are used throughout the package:
 The deterministic implementation is counter-mode splitmix64: block i of
 the stream is ``mix64(seed + (i + 1) * 0x9E3779B97F4A7C15)`` and the 64
 bits of each block are consumed least-significant first.  One path,
-``_fill``, makes the blocks for ``packed`` and for the draws, and ``bits``
-unpacks ``packed``.  Same seed, same stream, on every platform; golden
+``_fill``, makes the blocks for ``bits`` and for the draws, and ``packed``
+packs ``bits``.  Same seed, same stream, on every platform; golden
 vectors are pinned in the tests.
 """
 from __future__ import annotations
@@ -65,9 +65,10 @@ class BitSource:
 
     ``packed(n)`` returns them as ``bitseq``'s packed bytes: ceil(n / 8)
     uint8, the first bit lowest in the first byte, bits past the n-th 0.
-    A source makes one of the two and inherits the other: the counter and
-    OS sources make ``packed``, a replay source ``bits``.  The draws read
-    ``_fill``, which the counter source overrides to make its blocks in place.
+    A source makes one of the two and inherits the other: the counter
+    source makes ``bits`` from ``_fill``, the OS source ``packed`` and the
+    replay source ``bits``.  The draws read ``_fill``, which the counter
+    source overrides to make its blocks in place.
     """
 
     def bits(self, n: int) -> np.ndarray:
@@ -98,24 +99,14 @@ class CounterBitSource(BitSource):
         self._pos = 0  # absolute bit position
         self._ramp = np.empty(0, np.uint64)  # `_fill`'s, grown to its largest call
 
-    bits = BitSource.bits  # its own attribute, where bench/tracer.py wraps it
-
-    def packed(self, n: int) -> np.ndarray:
+    def bits(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError("bit count must be nonnegative")
-        # One block more than is kept: a word that starts `start` bits into
-        # block i ends in block i + 1.  Where `_fill` leaves that block
-        # unwritten, its bits shift only past n, and the mask clears them.
+        # One block more than n bits fill: they start `start` bits into the
+        # first block that `_fill` writes.
         z = np.empty(-(-n // 64) + 1, "<u8")
-        temp = np.empty_like(z)
-        start = self._fill(z, n, temp)
-        if start:
-            high = np.left_shift(z[1:], np.uint64(64 - start), out=temp[1:])
-            z >>= np.uint64(start)
-            z[:-1] |= high
-        out = z[:-1]
-        out[n // 64:] &= np.uint64((1 << n % 64) - 1)  # a partial last word
-        return out.view(np.uint8)[:-(-n // 8)]
+        start = self._fill(z, n, np.empty_like(z))
+        return np.unpackbits(z.view(np.uint8), count=start + n, bitorder="little")[start:]
 
     def _fill(self, words: np.ndarray, n: int, temp: np.ndarray) -> int:
         """The blocks holding the next n bits, unshifted, with no copy."""

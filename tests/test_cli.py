@@ -591,6 +591,29 @@ def test_cli_start_up_loads_no_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+_BLAS_PROBE = """
+import os
+import twofaced.generator
+before = os.environ.get("OPENBLAS_NUM_THREADS")
+import twofaced.cli
+print(before, os.environ["OPENBLAS_NUM_THREADS"])
+"""
+
+
+@pytest.mark.parametrize("given, want", [(None, "None 1"), ("4", "4 4")])
+def test_cli_import_asks_for_one_blas_thread_unless_the_caller_set_it(given, want):
+    # a library import leaves the environment alone; the CLI's setdefault
+    # keeps OpenBLAS's unused worker threads out of each start
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(src)
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, want + "\n"), proc.stderr
+
+
 def test_gen_entropy_file_golden_digest_and_one_bit_short(tmp_path):
     # order 9 and 1,000 draws take 9 + 53,000 bits; the file holds 7 more,
     # then one fewer.  sha256 of stdout computed before the draws were

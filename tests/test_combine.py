@@ -1,4 +1,5 @@
 import hashlib
+import io
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from twofaced.bitseq import BitSequence
+from twofaced.cli import run
 from twofaced.combine import (ComponentSpec, CutSequence, TwiceTwoFacedConfig,
                               component_stream, default_config, load_config,
                               parse_config, render_config, twice_two_faced,
@@ -152,9 +154,20 @@ def test_config_round_trip_keeps_bar_variant():
             parse_config(f"component order=2 pi=0.2 seed=1 variant={bad}")
 
 
-def test_config_errors():
+def test_config_errors(tmp_path):
     with pytest.raises(ConfigurationError):
         parse_config("component order=2 pi=0.2")  # missing seed
+    for cut in ("cut", "cut 2 4"):
+        with pytest.raises(ConfigurationError, match="line 1: cut takes one position, got"):
+            parse_config(f"{cut}\ncomponent order=2 pi=0.2 seed=1")
+    with pytest.raises(ConfigurationError, match="line 2: component field 'seed' is not key="):
+        parse_config("cut 2\ncomponent order=2 pi=0.2 seed 1")
+    path = tmp_path / "bad.cfg"
+    path.write_text("cut 2 4\ncomponent order=2 pi=0.2 seed=1\n")
+    out, err = io.BytesIO(), io.StringIO()
+    assert run(["combine", "--config", str(path), "--length", "8"], io.BytesIO(), out, err) == 1
+    assert (out.getvalue(), err.getvalue()) == (
+        b"", "twofaced combine: config line 1: cut takes one position, got 2\n")
     with pytest.raises(ConfigurationError):
         parse_config("cut x\ncomponent order=2 pi=0.2 seed=1")
     with pytest.raises(ConfigurationError):

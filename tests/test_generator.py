@@ -251,8 +251,25 @@ def test_step_tables_match_pins():
     for s, want in _BYTE_STEPS_DIGESTS.items():
         masked, carry = generator._byte_steps(s)
         assert _tables_digest(masked, np.asarray(carry, "<u2")) == want, s
-    masked, final, letters, resets = generator._wide_steps()
-    assert _tables_digest(masked, final, np.asarray(letters, "<u2"), resets) == _WIDE_STEPS_DIGEST
+    # the digest covers masked bytes, final letters, shifted letters and
+    # resets; the block scan reads the last two as one array and d != 0
+    letters = np.asarray(generator._wide_steps(), "<u2")
+    final = (letters >> 8).astype(np.uint8)
+    resets = np.arange(1 << 17) >= 512
+    assert _tables_digest(generator._byte_steps(8)[0], final, letters,
+                          resets) == _WIDE_STEPS_DIGEST
+
+
+def test_a_wide_byte_resets_the_letter_iff_a_d_bit_is_set():
+    # at s = 8 no m feeds back within the byte, so only a step with d = 1
+    # makes its final letter forget the entering one; below 8 an m does feed
+    # back, and the entering letter can outlive such a step
+    for s in range(1, 9):
+        carry = np.frombuffer(generator._byte_steps(s)[1], np.uint16)
+        final = (carry >> 8).reshape(256, 2, 256)  # by d, entering letter, x
+        forgets = final[:, 0] == final[:, 1]
+        assert not forgets[0].any(), s
+        assert forgets[1:].all() == (s == 8), s
 
 
 @given(st.integers(8, 3000).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, 3 * k))),

@@ -1,9 +1,10 @@
-"""Static checks of three design rules, read from the source by `ast`:
+"""Static checks of four design rules, read from the source by `ast`:
 the test-only oracles in `_reference` stay out of the package and of the
 scripts, which use its public, uncapped API; no package module or script
 draws through `reals`, as `UniformRealSource.at_least` is the package's
-one way to draw randomness; and every name a package module or script
-imports is used in it."""
+one way to draw randomness; every name a package module or script
+imports is used in it; and no package module but `cli.py` names
+`os.environ`, so a library import leaves the environment alone."""
 import ast
 from pathlib import Path
 
@@ -92,3 +93,18 @@ def test_every_import_is_used(path):
     allowed = UNUSED_IMPORTS_ALLOWED.get(path.name, set()) | _used_names(tree)
     unused = [(line, name) for line, name in _imported_names(tree) if name not in allowed]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _names_environ(node) -> bool:
+    if isinstance(node, ast.Attribute):
+        return (node.attr == "environ" and isinstance(node.value, ast.Name)
+                and node.value.id == "os")
+    return (isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(a.name == "environ" for a in node.names))
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "cli.py"),
+                         ids=_path_id)
+def test_only_the_cli_names_os_environ(path):
+    lines = [n.lineno for n in ast.walk(_tree(path)) if _names_environ(n)]
+    assert not lines, f"{path.name} names os.environ at lines {lines}"
