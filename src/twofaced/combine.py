@@ -130,6 +130,16 @@ def default_config(pi: float, seed: int, n: int) -> TwiceTwoFacedConfig:
     return TwiceTwoFacedConfig(CutSequence(tuple(cuts)), components)
 
 
+def _value(convert, name: str, text: str):
+    """convert(text), or a ValueError that names the field."""
+    try:
+        return convert(text)
+    except ValueError:
+        expected = {int: "a decimal integer", float: "a number"}.get(
+            convert, "a valid Variant (plain or bar)")
+        raise ValueError(f"{name} {text!r} is not {expected}") from None
+
+
 def parse_config(text: str) -> TwiceTwoFacedConfig:
     """Parse the text config format: lines ``cut <n>`` and
     ``component order=<k> pi=<float> seed=<u64> [variant=plain|bar]``;
@@ -145,7 +155,7 @@ def parse_config(text: str) -> TwiceTwoFacedConfig:
             if fields[0] == "cut":
                 if len(fields) != 2:
                     raise ValueError(f"cut takes one position, got {len(fields) - 1}")
-                cuts.append(int(fields[1]))
+                cuts.append(_value(int, "cut", fields[1]))
                 continue
             if fields[0] == "component":
                 bare = [f for f in fields[1:] if "=" not in f]
@@ -157,9 +167,10 @@ def parse_config(text: str) -> TwiceTwoFacedConfig:
                 variant = kv.pop("variant", "plain")
                 if set(kv) != {"order", "pi", "seed"}:
                     raise ValueError(f"expected order=, pi=, seed=, got {sorted(kv)}")
-                order, pi, seed = int(kv["order"]), float(kv["pi"]), int(kv["seed"])
+                order, pi, seed = (_value(convert, name, kv[name]) for convert, name in (
+                    (int, "order"), (float, "pi"), (int, "seed")))
                 components.append(ComponentSpec(
-                    KernelSpec(Variant(variant), order, pi), seed))
+                    KernelSpec(_value(Variant, "variant", variant), order, pi), seed))
                 continue
             raise ValueError(f"unrecognized directive {fields[0]!r}")
         except (ValueError, KeyError) as exc:

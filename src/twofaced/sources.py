@@ -7,7 +7,7 @@ Two source contracts are used throughout the package:
   resolution, derived from a BitSource by a fixed construction: each
   draw consumes exactly 53 bits, first bit most significant, and the
   value is ``mantissa / 2**53``.  Its ``at_least`` compares the draws
-  with thresholds straight from the source's packed bytes, without
+  with thresholds straight from the bytes that ``_fill`` writes, without
   making floats: eight draws fill exactly 53 bytes, so each draw is one
   8-byte load.  It agrees with ``reals(n) >= t`` exactly.  It works in
   buffers that the source keeps from call to call, about 31 bytes per
@@ -16,12 +16,13 @@ Two source contracts are used throughout the package:
   draw.  ``generate`` bounds the kept buffers by calling ``at_least`` a
   pass at a time.
 
-The deterministic implementation is counter-mode splitmix64: block i of
-the stream is ``mix64(seed + (i + 1) * 0x9E3779B97F4A7C15)`` and the 64
-bits of each block are consumed least-significant first.  One path,
-``_fill``, makes the blocks for ``bits`` and for the draws, and ``packed``
-packs ``bits``.  Same seed, same stream, on every platform; golden
-vectors are pinned in the tests.
+Each source makes only ``_fill``, which writes its next bits in place
+(the OS source copies ``os.urandom``'s bytes, a replay source its own,
+held packed); ``bits``, ``packed`` and the draws all read it.  The
+deterministic source is counter-mode splitmix64: block i of the stream
+is ``mix64(seed + (i + 1) * 0x9E3779B97F4A7C15)`` and the 64 bits of
+each block are consumed least-significant first.  Same seed, same
+stream, on every platform; golden vectors are pinned in the tests.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ import os
 
 import numpy as np
 
-from .bitseq import BitSequence
+from .bitseq import as_bit_array
 from .errors import SourceExhaustedError
 
 _MASK64 = (1 << 64) - 1
@@ -65,25 +66,28 @@ class BitSource:
 
     ``packed(n)`` returns them as ``bitseq``'s packed bytes: ceil(n / 8)
     uint8, the first bit lowest in the first byte, bits past the n-th 0.
-    A source makes one of the two and inherits the other: the counter
-    source makes ``bits`` from ``_fill``, the OS source ``packed`` and the
-    replay source ``bits``.  The draws read ``_fill``, which the counter
-    source overrides to make its blocks in place.
+    A source makes only ``_fill``, which writes its bits in place; ``bits``,
+    ``packed`` and the draws all read it.
     """
 
     def bits(self, n: int) -> np.ndarray:
-        return np.unpackbits(self.packed(n), count=n, bitorder="little")
+        if n < 0:
+            raise ValueError("bit count must be nonnegative")
+        # One word more than n bits fill: they start `start` bits into the
+        # first word that `_fill` writes.
+        z = np.empty(-(-n // 64) + 1, "<u8")
+        start = self._fill(z, n, np.empty_like(z))
+        return np.unpackbits(z.view(np.uint8), count=start + n, bitorder="little")[start:]
 
     def packed(self, n: int) -> np.ndarray:
         return np.packbits(self.bits(n), bitorder="little")
 
     def _fill(self, words: np.ndarray, n: int, temp: np.ndarray) -> int:
-        """Write the next n bits into the bytes of `words`, a "<u8" array,
-        from bit `start` on, and return start (below 64).  Bytes past the
-        n bits keep whatever they held; `temp` is uint64 scratch."""
-        raw = self.packed(n)
-        words.view(np.uint8)[:raw.size] = raw
-        return 0
+        """Write the next n bits into the bytes of `words`, a "<u8" array of
+        at least ceil(n / 64) + 1 words, from bit `start` on, and return
+        start (below 64).  Bytes past the n bits keep whatever they held;
+        `temp` is uint64 scratch of the same size."""
+        raise NotImplementedError
 
 
 class CounterBitSource(BitSource):
@@ -99,14 +103,7 @@ class CounterBitSource(BitSource):
         self._pos = 0  # absolute bit position
         self._ramp = np.empty(0, np.uint64)  # `_fill`'s, grown to its largest call
 
-    def bits(self, n: int) -> np.ndarray:
-        if n < 0:
-            raise ValueError("bit count must be nonnegative")
-        # One block more than n bits fill: they start `start` bits into the
-        # first block that `_fill` writes.
-        z = np.empty(-(-n // 64) + 1, "<u8")
-        start = self._fill(z, n, np.empty_like(z))
-        return np.unpackbits(z.view(np.uint8), count=start + n, bitorder="little")[start:]
+    bits = BitSource.bits  # on the class, where bench/tracer.py wraps it
 
     def _fill(self, words: np.ndarray, n: int, temp: np.ndarray) -> int:
         """The blocks holding the next n bits, unshifted, with no copy."""
@@ -125,34 +122,35 @@ class CounterBitSource(BitSource):
 class OSBitSource(BitSource):
     """Bits from the operating system entropy pool (not reproducible)."""
 
-    def packed(self, n: int) -> np.ndarray:
-        if n < 0:
-            raise ValueError("bit count must be nonnegative")
-        raw = np.frombuffer(bytearray(os.urandom(-(-n // 8))), np.uint8)
-        raw[n // 8:] &= (1 << n % 8) - 1  # a partial last byte
-        return raw
+    def _fill(self, words: np.ndarray, n: int, temp: np.ndarray) -> int:
+        """`os.urandom`'s bytes, from the first byte on."""
+        size = -(-n // 8)
+        words.view(np.uint8)[:size] = np.frombuffer(os.urandom(size), np.uint8)
+        return 0
 
 
 class ReplayBitSource(BitSource):
     """Replays a fixed, finite bit sequence; errors on exhaustion."""
 
     def __init__(self, bits):
-        self._bits = BitSequence(bits).array  # owned: later writes to `bits` do not replay
+        raw = as_bit_array(bits)
+        self._size = raw.size
+        self._bytes = np.packbits(raw, bitorder="little")  # a copy of `bits`
         self._pos = 0
 
     @property
     def remaining(self) -> int:
-        return self._bits.size - self._pos
+        return self._size - self._pos
 
-    def bits(self, n: int) -> np.ndarray:
-        if n < 0:
-            raise ValueError("bit count must be nonnegative")
+    def _fill(self, words: np.ndarray, n: int, temp: np.ndarray) -> int:
+        """The bytes holding the next n bits, from the current one on."""
         if n > self.remaining:
-            raise SourceExhaustedError(
-                f"requested {n} bits but only {self.remaining} remain")
-        out = self._bits[self._pos:self._pos + n]
+            raise SourceExhaustedError(f"requested {n} bits but only {self.remaining} remain")
+        first, start = divmod(self._pos, 8)
+        raw = self._bytes[first:-(-(self._pos + n) // 8)]
+        words.view(np.uint8)[:raw.size] = raw
         self._pos += n
-        return out
+        return start
 
 
 @functools.lru_cache(maxsize=256)

@@ -168,6 +168,18 @@ def test_config_errors(tmp_path):
     assert run(["combine", "--config", str(path), "--length", "8"], io.BytesIO(), out, err) == 1
     assert (out.getvalue(), err.getvalue()) == (
         b"", "twofaced combine: config line 1: cut takes one position, got 2\n")
+    for line, message in (("cut 2.5", "cut '2.5' is not a decimal integer"),
+                          ("component order=2.5 pi=0.2 seed=1", "order '2.5' is not a decimal"),
+                          ("component order=2 pi=abc seed=1", "pi 'abc' is not a number"),
+                          ("component order=2 pi=0.2 seed=0x10", "seed '0x10' is not a decimal"),
+                          ("component order=2 pi=0.2 seed=1 variant=BAR", "variant 'BAR' is not")):
+        with pytest.raises(ConfigurationError, match=f"line 2: {message}"):
+            parse_config(f"cut 2\n{line}\ncomponent order=2 pi=0.2 seed=1")
+    path.write_text("cut 2\ncomponent order=2 pi=0.2 seed=1\ncomponent order=4 pi=x seed=2\n")
+    err = io.StringIO()
+    assert run(["combine", "--config", str(path), "--length", "8"], io.BytesIO(), out, err) == 1
+    assert (out.getvalue(), err.getvalue()) == (
+        b"", "twofaced combine: config line 3: pi 'x' is not a number\n")
     with pytest.raises(ConfigurationError):
         parse_config("cut x\ncomponent order=2 pi=0.2 seed=1")
     with pytest.raises(ConfigurationError):

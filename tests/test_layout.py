@@ -1,10 +1,13 @@
-"""Static checks of four design rules, read from the source by `ast`:
+"""Static checks of five design rules, read from the source by `ast`:
 the test-only oracles in `_reference` stay out of the package and of the
 scripts, which use its public, uncapped API; no package module or script
 draws through `reals`, as `UniformRealSource.at_least` is the package's
 one way to draw randomness; every name a package module or script
-imports is used in it; and no package module but `cli.py` names
-`os.environ`, so a library import leaves the environment alone."""
+imports is used in it; no package module but `cli.py` names
+`os.environ`, so a library import leaves the environment alone; and
+randomness enters only through `sources`: no other package module and no
+script names `os.urandom` or `numpy.random`, or imports `random` or
+`secrets`."""
 import ast
 from pathlib import Path
 
@@ -108,3 +111,34 @@ def _names_environ(node) -> bool:
 def test_only_the_cli_names_os_environ(path):
     lines = [n.lineno for n in ast.walk(_tree(path)) if _names_environ(n)]
     assert not lines, f"{path.name} names os.environ at lines {lines}"
+
+
+# Dotted names that reach randomness outside `sources`, and everything under them.
+RANDOMNESS = ("os.urandom", "np.random", "numpy.random", "random", "secrets")
+
+
+def _names_randomness(node) -> bool:
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        names = [f"{node.value.id}.{node.attr}"]
+    elif isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+    else:
+        return False
+    return any(n == r or n.startswith(r + ".") for n in names for r in RANDOMNESS)
+
+
+@pytest.mark.parametrize("snippet", [
+    "import os\nos.urandom(4)", "from os import urandom", "import numpy as np\nnp.random.rand()",
+    "import numpy.random", "from numpy import random", "from numpy.random import default_rng",
+    "import random", "from secrets import token_bytes"])
+def test_randomness_rule_sees_each_form(snippet):
+    assert any(_names_randomness(n) for n in ast.walk(ast.parse(snippet)))
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) + SCRIPTS
+                                  if p.name != "sources.py"], ids=_path_id)
+def test_randomness_enters_only_through_sources(path):
+    lines = [n.lineno for n in ast.walk(_tree(path)) if _names_randomness(n)]
+    assert not lines, f"{path.name} reaches randomness outside sources at lines {lines}"

@@ -59,10 +59,17 @@ def test_equal_seeds_equal_streams():
     assert np.array_equal(CounterBitSource(99).bits(500), CounterBitSource(99).bits(500))
 
 
-def test_negative_count_rejected():
-    with pytest.raises(ValueError):
-        CounterBitSource(0).bits(-1)
-    assert CounterBitSource(0).bits(0).size == 0
+@pytest.mark.parametrize("call", [
+    lambda n: CounterBitSource(0).bits(n),
+    lambda n: OSBitSource().bits(n),
+    lambda n: ReplayBitSource("1010").bits(n),
+    lambda n: UniformRealSource.from_seed(0).reals(n),
+    lambda n: UniformRealSource.from_seed(0).at_least(n, (0.5,)),
+], ids=["counter", "os", "replay", "reals", "at_least"])
+def test_negative_count_rejected(call):
+    with pytest.raises(ValueError, match="count must be nonnegative"):
+        call(-1)
+    assert np.size(call(0)) == 0
 
 
 def test_os_source_shape():
@@ -94,6 +101,18 @@ def test_replay_source_exhaustion():
     assert src.bits(3).tolist() == [1, 0, 1]
     with pytest.raises(SourceExhaustedError):
         src.bits(2)
+
+
+def test_replay_source_holds_its_bits_packed():
+    bits = CounterBitSource(9).bits(10 ** 6)
+    tracemalloc.start()
+    try:
+        src = ReplayBitSource(bits)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 0.15 * bits.size
+    assert np.array_equal(src.bits(bits.size), bits)
 
 
 def test_file_source_round_trip(tmp_path):
@@ -276,12 +295,12 @@ def test_replayed_draws_in_calls_equal_one_call():
     assert src.remaining == 3  # nothing consumed
 
 
-# The extra bytes per draw that a source allocates for its packed bytes:
-# a replay source's 53n / 8, and os.urandom's with their writable copy.
+# The extra bytes per draw that a source allocates for its bits: only
+# os.urandom's 53n / 8, as the counter and replay sources write in place.
 @pytest.mark.parametrize("make, extra", [
     (lambda: CounterBitSource(9), 0),
-    (lambda: ReplayBitSource(CounterBitSource(9).bits(53 * 2 * (1 << 15))), 7),
-    (OSBitSource, 14)], ids=["counter", "replay", "os"])
+    (lambda: ReplayBitSource(CounterBitSource(9).bits(53 * 2 * (1 << 15))), 0),
+    (OSBitSource, 7)], ids=["counter", "replay", "os"])
 def test_second_pass_allocates_only_its_draws(make, extra):
     # the first pass sizes the kept buffers; the second allocates only the
     # two n-bool results, where one pass-sized uint64 temporary takes 8n
