@@ -30,7 +30,7 @@ import numpy as np
 
 from .bitseq import BitSequence, as_bit_array
 from .errors import CapacityError, SourceExhaustedError
-from .generator import GeneratorState
+from .generator import GeneratorState, init_fixed
 from .kernels import (KernelSpec, KernelTable, TABLE_ORDER_CAP, Variant, _check_bit,
                       as_context, context_to_int, kernel_table)
 from .stats import BLOCK_LEN_CAP, conditional_entropy
@@ -91,7 +91,7 @@ def generate_by_conversion(state: GeneratorState, n: int, reals) -> BitSequence:
     kernel = state.kernel
     v = np.array(state.context_bits(), dtype=np.uint8)
     y = transform(reals.reals(n) >= kernel.pi, v, kernel.variant)
-    state.context = context_to_int(np.concatenate([v, y.array])[-kernel.order:])
+    state.window = init_fixed(kernel, np.concatenate([v, y.array])[-kernel.order:]).window
     return y
 
 

@@ -38,10 +38,9 @@ def as_bit_array(bits) -> np.ndarray:
         raw = np.array(list(bits))
     if raw.ndim != 1:
         raise ValueError("bit input must be one-dimensional")
-    with np.errstate(invalid="ignore"):  # NaN and inf fail the check below
-        arr = raw.astype(np.uint8, copy=False)
-    if raw.dtype != np.uint8 and not np.array_equal(arr, raw):
+    if raw.dtype != np.uint8 and not ((raw == 0) | (raw == 1)).all():  # NaN and inf fail
         raise ValueError("bits must be 0 or 1")
+    arr = raw.astype(np.uint8, copy=False)
     if arr.size and int(arr.max()) > 1:
         raise ValueError("bits must be 0 or 1")
     return arr

@@ -6,10 +6,10 @@ emits 0 iff u < P(0 | context).  It takes the compares u >= pi and
 u >= 1 - pi from `at_least`, which needs no floats, and takes 8 steps per
 table lookup at every order: the bits that leave the window during a byte
 of steps are known before it, as draws less the masked bits that the
-stepper carries.  It takes `_PASS_DRAWS` draws a pass, since the
-`UniformRealSource` keeps `at_least`'s buffers at the size of its largest
-call: past the output, memory stays bounded, and every pass after the
-first reuses the first's buffers.
+stepper carries.  The window stays in the packed bytes a pass reads.  It
+takes `_PASS_DRAWS` draws a pass, since the `UniformRealSource` keeps
+`at_least`'s buffers at the size of its largest call: past the output,
+memory stays bounded, and every pass after the first reuses the first's.
 
 Two steppers share one table from order 8 up; each order below 8 has its
 own.  Below `_SCAN_ORDER` a table loop takes one Python iteration per
@@ -57,33 +57,31 @@ _PASS_DRAWS = 1 << 15
 _SCAN_ORDER = (896, 576)
 
 
-@dataclass
+@dataclass(eq=False)
 class GeneratorState:
-    """A kernel plus the sliding window of the last `order` emitted bits.
-
-    The window is stored as one integer, oldest bit most significant;
-    `context_to_int` and `int_to_context` convert it from and to bit form,
-    and a pass reads it by `int.to_bytes` and folds it from packed bytes.
-    Single-owner and sequential: the Markov dependence
-    forbids parallel emission within one stream.
-    """
+    """A kernel plus the sliding window of the last `order` emitted bits,
+    held as the ceil(order / 8) uint8 bytes that a pass's history starts
+    with: oldest bit highest, behind (-order) mod 8 zero bits.  Single-owner
+    and sequential: the Markov dependence forbids parallel emission within
+    one stream."""
 
     kernel: KernelSpec
-    context: int
+    window: np.ndarray
 
     def context_bits(self) -> tuple[int, ...]:
-        return int_to_context(self.context, self.kernel.order)
+        return int_to_context(int.from_bytes(self.window, "big"), self.kernel.order)
 
 
 def init_uniform(kernel: KernelSpec, source: BitSource) -> GeneratorState:
     """Draw the initial window uniformly, consuming exactly `order` bits."""
-    word = source.bits(kernel.order)
-    return GeneratorState(kernel, context_to_int(word))
+    window = context_to_int(source.bits(kernel.order)).to_bytes(-(-kernel.order // 8), "big")
+    return GeneratorState(kernel, np.frombuffer(window, np.uint8))
 
 
 def init_fixed(kernel: KernelSpec, word) -> GeneratorState:
     """Start from a fixed initial window of length `order`."""
-    return GeneratorState(kernel, context_to_int(as_context(word, kernel.order)))
+    window = context_to_int(as_context(word, kernel.order)).to_bytes(-(-kernel.order // 8), "big")
+    return GeneratorState(kernel, np.frombuffer(window, np.uint8))
 
 
 def generate(state: GeneratorState, n: int, reals) -> BitSequence:
@@ -173,10 +171,11 @@ def _wide_steps() -> memoryview:
     return memoryview(np.frombuffer(_byte_steps(8)[1], np.uint16) & 0xFF00)
 
 
-def _leaving(history: np.ndarray, pad: int, m: int) -> np.ndarray:
-    """The bytes leaving the window during output bytes b .. b + m - 1, from
-    history bytes b on; the history holds the window behind pad zero bits."""
-    return history[:m] << pad | history[1:m + 1] >> 8 - pad if pad else history[:m]
+def _leaving(history: np.ndarray, shift: int, m: int) -> np.ndarray:
+    """The m bytes of `history` from its bit `shift` (below 8) on.  From
+    history byte b at shift pad they are the bytes leaving the window during
+    output bytes b .. b + m - 1, as the history holds it behind pad zero bits."""
+    return history[:m] << shift | history[1:m + 1] >> 8 - shift if shift else history[:m]
 
 
 def _generate_steps(state: GeneratorState, ge_pi, ge_q) -> np.ndarray:
@@ -185,26 +184,26 @@ def _generate_steps(state: GeneratorState, ge_pi, ge_q) -> np.ndarray:
     bits, less the masked bits m that `_table_loop` or, at orders from
     `_SCAN_ORDER[pad > 0]` up, `_block_scan` carries.
 
-    The g history (window, then g) is held in bytes, the window behind
+    The history (window, then g) is held in bytes, the window behind
     pad = (-k) mod 8 zero bits, so the bits leaving during output byte b
-    are history bits 8b + pad onwards; they straddle two history bytes
-    unless k is a multiple of 8.  The output is g ^ m.
+    are its bits 8b + pad on, in two bytes unless k is a multiple of 8.
+    Then g ^ m replaces g: the next window is the bytes from bit n on.
     """
-    k = state.kernel.order
+    k, n = state.kernel.order, ge_pi.size
     pad = -k % 8
     g = np.packbits(ge_pi)
-    history = np.concatenate((np.frombuffer(state.context.to_bytes(-(-k // 8), "big"),
-                                            np.uint8), g))
+    history = np.concatenate((state.window, g))
     # d << 9 | x, the index but for the letter and the m from earlier bytes.
     dx = (np.packbits(ge_q) ^ g).astype(np.uint32)
     dx <<= 9
     dx |= g ^ _leaving(history, pad, g.size)
     steps = _block_scan if k >= _SCAN_ORDER[pad > 0] else _table_loop
-    out = g ^ steps(dx, k, pi_letter(state.kernel.variant, state.context) << 8)
-    tail = out[-k // 8 - 1:]  # ends in the new window, then (-n) mod 8 zero bits
-    window = state.context << 8 * tail.size | int.from_bytes(tail, "big")
-    state.context = (window >> -ge_pi.size % 8) & ((1 << k) - 1)
-    return np.unpackbits(out, count=ge_pi.size)
+    parity = np.bitwise_xor.reduce(state.window)  # of the window, in one byte
+    out = history[state.window.size:]
+    out ^= steps(dx, k, pi_letter(state.kernel.variant, int(parity)) << 8)
+    window = state.window = np.array(_leaving(history[n // 8:], n % 8, state.window.size))
+    window[0] &= 255 >> pad
+    return np.unpackbits(out, count=n)
 
 
 def _table_loop(dx, k: int, letter: int) -> np.ndarray:

@@ -138,6 +138,13 @@ class ReplayBitSource(BitSource):
         self._bytes = np.packbits(raw, bitorder="little")  # a copy of `bits`
         self._pos = 0
 
+    @classmethod
+    def from_packed(cls, data: bytes) -> "ReplayBitSource":
+        """Replay `data`'s bytes as they are: 8 bits each, first bit lowest."""
+        source = object.__new__(cls)
+        source._bytes, source._size, source._pos = np.frombuffer(data, np.uint8), 8 * len(data), 0
+        return source
+
     @property
     def remaining(self) -> int:
         return self._size - self._pos

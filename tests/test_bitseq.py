@@ -21,6 +21,15 @@ def test_rejects_non_bits():
         BitSequence([0, 2])
     with pytest.raises(ValueError):
         BitSequence.from_ascii01("01x")
+    with pytest.raises(ValueError, match="one-dimensional"):
+        as_bit_array(np.zeros((2, 4), np.uint8))
+
+
+def test_repr_shows_at_most_64_bits():
+    assert repr(BitSequence("0110")) == "BitSequence('0110', len=4)"
+    bits = "0111" * 20
+    assert repr(BitSequence(bits[:64])) == f"BitSequence('{bits[:64]}', len=64)"
+    assert repr(BitSequence(bits)) == f"BitSequence('{bits[:64]}...', len=80)"
 
 
 def test_ascii_ignores_whitespace():

@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import pytest
 
 from twofaced.bitseq import BitSequence, decode_stream
-from twofaced.cli import build_parser, run
+from twofaced.cli import _entropy_source, build_parser, run
 from twofaced.combine import default_config, render_config
 from twofaced.expander import ExpanderConfig, expand
 from twofaced.generator import generate, init_fixed, init_uniform
@@ -630,6 +631,26 @@ def test_gen_entropy_file_golden_digest_and_one_bit_short(tmp_path):
     path.write_bytes(packed[:-1])
     assert invoke(argv) == (
         1, b"", "twofaced gen: requested 53000 bits but only 52999 remain\n")
+
+
+
+def test_entropy_file_source_holds_the_file_packed(tmp_path):
+    # the CLI replays the file's bytes as they are; unpacking them to one
+    # byte per bit and packing them again peaked at 1.126 B/bit
+    path = tmp_path / "entropy.bin"
+    data = CounterBitSource(5).packed(8 << 20).tobytes()  # 1 MiB
+    path.write_bytes(data)
+    parser = build_parser()
+    args = parser.parse_args(["gen", "--order", "8", "--pi", "0.2", "--length", "8",
+                              "--entropy-file", str(path)])
+    tracemalloc.start()
+    try:
+        src = _entropy_source(args, parser)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.3 * 8 * len(data)
+    assert src.packed(8 * len(data)).tobytes() == data
 
 
 _NO_TABLES_PROBE = """

@@ -29,6 +29,8 @@ def test_entropy_inverse_endpoints():
     p = entropy_inverse(0.5)
     assert p == pytest.approx(0.110028, abs=1e-6)
     assert abs(limit_entropy(p) - 0.5) <= 1e-12
+    # at or below H(PI_FLOOR) the result is floored
+    assert entropy_inverse(1e-12) == entropy_inverse(limit_entropy(PI_FLOOR)) == PI_FLOOR
 
 
 def test_entropy_inverse_matches_forward():

@@ -53,7 +53,7 @@ def test_init_uniform_is_uniform_chi_square():
     counts = np.zeros(8, dtype=np.int64)
     trials = 10 ** 5
     for _ in range(trials):
-        counts[init_uniform(_kernel(k), src).context] += 1
+        counts[int.from_bytes(init_uniform(_kernel(k), src).window, "big")] += 1
     expected = trials / 8
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi_square_pvalue(chi2, 7) > 1e-6
@@ -133,7 +133,7 @@ def test_generate_golden_digests():
         state = init_uniform(KernelSpec(Variant(variant), order, pi), src)
         out = generate(state, 5000, UniformRealSource(src))
         h = hashlib.sha256(out.to_packed())
-        h.update(str(state.context).encode())
+        h.update(str(int.from_bytes(state.window, "big")).encode())
         got[variant, order, pi] = h.hexdigest()
     assert got == _GENERATE_DIGESTS
 
@@ -280,13 +280,13 @@ def test_block_scan_matches_table_loop(order_and_n, pi, variant, seed):
     # same draws, same start, as many blocks as 3k outputs make
     order, n = order_and_n
     kernel = KernelSpec(variant, order, pi)
-    context = init_uniform(kernel, CounterBitSource(seed)).context
+    window = init_uniform(kernel, CounterBitSource(seed)).window
     ge_pi, ge_q = UniformRealSource(CounterBitSource(seed + 1)).at_least(n, (pi, 1 - pi))
     runs = []
     for scan_order in (order, order + 1):  # the block scan, then the table loop
-        state = GeneratorState(kernel, context)
+        state = GeneratorState(kernel, window)
         with mock.patch.object(generator, "_SCAN_ORDER", (scan_order, scan_order)):
-            runs.append((_generate_steps(state, ge_pi, ge_q), state.context))
+            runs.append((_generate_steps(state, ge_pi, ge_q), int.from_bytes(state.window, "big")))
     (scanned, scan_context), (looped, loop_context) = runs
     assert np.array_equal(scanned, looped)
     assert scan_context == loop_context
@@ -474,10 +474,10 @@ def test_zero_length_draws_leave_source_and_state_alone():
     assert reals.dtype == np.float64 and reals.size == 0
     assert OSBitSource().bits(0).dtype == np.uint8
     state = init_uniform(_kernel(3), src)
-    context = state.context
+    context = int.from_bytes(state.window, "big")
     out = generate(state, 0, UniformRealSource(src))
     assert len(out) == 0 and out.array.dtype == np.uint8
-    assert state.context == context
+    assert int.from_bytes(state.window, "big") == context
     fresh.bits(3)
     assert np.array_equal(src.bits(100), fresh.bits(100))
 
@@ -521,7 +521,7 @@ def _pinned_run(variant, order, pi, chunks):
     src = CounterBitSource(9)
     state = init_uniform(KernelSpec(variant, order, pi), src)
     pieces = [generate(state, c, UniformRealSource(src)).array for c in chunks]
-    return np.concatenate(pieces), state.context, src.bits(64)
+    return np.concatenate(pieces), int.from_bytes(state.window, "big"), src.bits(64)
 
 
 @pytest.mark.parametrize("order", sorted(_ORDER_DIGESTS))
@@ -581,7 +581,7 @@ def test_generate_matches_literal_kernel_steps(order):
         for pi in (0.2, 0.77):
             spec = KernelSpec(variant, order, pi)
             src = CounterBitSource(order)
-            window = init_uniform(spec, src).context
+            window = int.from_bytes(init_uniform(spec, src).window, "big")
             ge_pi, ge_q = UniformRealSource(src).at_least(n, (pi, 1 - pi))
             want = np.empty(n, np.uint8)
             for t in range(n):
@@ -593,7 +593,7 @@ def test_generate_matches_literal_kernel_steps(order):
                 state = init_uniform(spec, src)
                 got = [generate(state, c, UniformRealSource(src)).array for c in calls]
                 assert np.array_equal(np.concatenate(got), want), (variant, pi, calls)
-                assert state.context == window
+                assert int.from_bytes(state.window, "big") == window
 
 
 @pytest.mark.parametrize("order", [1, 8, 13, 4096, (1 << 17) - 3])

@@ -128,6 +128,20 @@ def test_file_source_round_trip(tmp_path):
     assert src.packed(24).tobytes() == path.read_bytes()
 
 
+def test_replay_source_from_packed_reads_bytes_first_bit_lowest():
+    # the file's bytes as they are replay as the unpacked read of them does,
+    # across byte boundaries, and a request past the end consumes nothing
+    data = CounterBitSource(4).packed(1001).tobytes()
+    src = ReplayBitSource.from_packed(data)
+    want = ReplayBitSource(BitSequence.from_packed(data))
+    assert src.remaining == want.remaining == 1008
+    for n in (3, 64, 7, 928):
+        assert np.array_equal(src.bits(n), want.bits(n))
+    with pytest.raises(SourceExhaustedError, match="requested 8 bits but only 6 remain"):
+        src.bits(8)
+    assert np.array_equal(src.bits(6), want.bits(6))
+
+
 def test_source_bits_wrap_as_bitsequence():
     out = BitSequence(CounterBitSource(1).bits(10))
     assert isinstance(out, BitSequence) and len(out) == 10
