@@ -187,7 +187,7 @@ def _generate_steps(state: GeneratorState, ge_pi, ge_q) -> np.ndarray:
     The history (window, then g) is held in bytes, the window behind
     pad = (-k) mod 8 zero bits, so the bits leaving during output byte b
     are its bits 8b + pad on, in two bytes unless k is a multiple of 8.
-    Then g ^ m replaces g: the next window is the bytes from bit n on.
+    Then g ^ m replaces g, and the next window is copied from bit n on.
     """
     k, n = state.kernel.order, ge_pi.size
     pad = -k % 8
