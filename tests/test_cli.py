@@ -633,7 +633,6 @@ def test_gen_entropy_file_golden_digest_and_one_bit_short(tmp_path):
         1, b"", "twofaced gen: requested 53000 bits but only 52999 remain\n")
 
 
-
 def test_entropy_file_source_holds_the_file_packed(tmp_path):
     # the CLI replays the file's bytes as they are; unpacking them to one
     # byte per bit and packing them again peaked at 1.126 B/bit

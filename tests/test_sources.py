@@ -116,21 +116,21 @@ def test_replay_source_holds_its_bits_packed():
 
 
 def test_file_source_round_trip(tmp_path):
-    # the --entropy-file path: packed bytes on disk replayed as a bit source
+    # the --entropy-file path: packed bytes on disk replayed as they are
     seq = BitSequence("10110011" * 3)
     path = tmp_path / "entropy.bin"
     path.write_bytes(seq.to_packed())
-    src = ReplayBitSource(BitSequence.from_packed(path.read_bytes()))
+    src = ReplayBitSource.from_packed(path.read_bytes())
     assert BitSequence(src.bits(24)) == seq
     with pytest.raises(SourceExhaustedError):
         src.bits(1)
-    src = ReplayBitSource(BitSequence.from_packed(path.read_bytes()))
+    src = ReplayBitSource.from_packed(path.read_bytes())
     assert src.packed(24).tobytes() == path.read_bytes()
 
 
 def test_replay_source_from_packed_reads_bytes_first_bit_lowest():
-    # the file's bytes as they are replay as the unpacked read of them does,
-    # across byte boundaries, and a request past the end consumes nothing
+    # unaligned reads of the bytes as they are match the unpacked read of
+    # them, and a request past the end consumes nothing
     data = CounterBitSource(4).packed(1001).tobytes()
     src = ReplayBitSource.from_packed(data)
     want = ReplayBitSource(BitSequence.from_packed(data))
