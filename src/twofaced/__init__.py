@@ -7,8 +7,8 @@ their sampler (:mod:`.generator`), the deterministic stream conversion
 seed expansion through an arithmetic decoder (:mod:`.expander`),
 randomness-source abstractions (:mod:`.sources`), and a composable CLI
 (:mod:`.cli`).  Import names from those modules; the package root holds
-only ``__version__``.  The exact analysis of the kernels' chains is in
-:mod:`._reference`, which only the tests import.
+only ``__version__``.  The literal definitions that check them, the
+kernels' exact chains among them, are in ``tests/reference.py``.
 """
 
 __version__ = "0.1.0"

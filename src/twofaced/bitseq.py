@@ -46,6 +46,17 @@ def as_bit_array(bits) -> np.ndarray:
     return arr
 
 
+def packed_bit_count(data, n: int | None = None) -> int:
+    """The bits that packed `data` holds: all 8 a byte, or the first n."""
+    if n is None:
+        return 8 * len(data)
+    if n < 0:
+        raise ValueError(f"bit count must be nonnegative, got {n}")
+    if n > 8 * len(data):
+        raise ValueError(f"{len(data)} bytes hold fewer than {n} bits")
+    return n
+
+
 def _bits_from_text(text: str) -> np.ndarray:
     stripped = "".join(text.split())
     raw = np.frombuffer(stripped.encode("ascii"), dtype=np.uint8)
@@ -85,12 +96,7 @@ class BitSequence:
 
     @classmethod
     def from_packed(cls, data: bytes, n: int | None = None) -> "BitSequence":
-        if n is None:
-            n = 8 * len(data)
-        if n < 0:
-            raise ValueError(f"bit count must be nonnegative, got {n}")
-        if n > 8 * len(data):
-            raise ValueError(f"{len(data)} bytes hold fewer than {n} bits")
+        n = packed_bit_count(data, n)
         raw = np.frombuffer(data, dtype=np.uint8)
         return cls._wrap(np.unpackbits(raw, count=n, bitorder="little"))
 

@@ -59,7 +59,7 @@ def _entropy_source(args, parser: argparse.ArgumentParser):
         return OSBitSource()
     if args.entropy_file is not None:
         with open(args.entropy_file, "rb") as fh:
-            return ReplayBitSource.from_packed(fh.read())
+            return ReplayBitSource(fh.read())
     parser.error("an entropy flag is required: --seed, --os-entropy, or --entropy-file")
 
 

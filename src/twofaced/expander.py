@@ -40,9 +40,9 @@ import numpy as np
 
 from .bitseq import BitSequence, as_bit_array
 from .generator import limit_entropy
+from .kernels import PI_FLOOR
 from .transform import transform
 
-PI_FLOOR = 1e-9
 DEFAULT_PRECISION = 62
 ENTROPY_TOL = 1e-12  # |H(pi) - h| at which entropy_inverse stops
 # The decoder steps runs of 1s in unchecked groups of 8 when total / f0, about

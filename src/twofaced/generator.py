@@ -27,7 +27,7 @@ there the two tied between 513 and 545, and from 577 up the scan won,
 taking 0.76 of the loop's time at 705-769 and 0.22 at 2^17 - 3.
 
 `exact_conditional_entropy` is the entropy staircase in closed form; the
-2^k-state chain in `twofaced._reference` checks it.
+2^k-state chain in `tests/reference.py` checks it.
 """
 from __future__ import annotations
 

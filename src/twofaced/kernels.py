@@ -15,9 +15,9 @@ The inductive definition doubles the context one (oldest) bit at a time:
 a leading 0 keeps the family, a leading 1 swaps PLAIN and BAR, down to
 the order-1 base cases.  ``kernel_table`` builds its pi-letters by that
 doubling from ``pi_letter(variant, 0)``: the rows with a leading 1 flip
-the rows of the order below.  ``twofaced._reference.cond_prob_recursive``
-implements the recursion literally; ``cond_prob`` implements the parity
-closed form.  Both resolve to the two-valued symbol {pi, 1 - pi} before
+the rows of the order below.  ``tests/reference.py`` implements the
+recursion literally (``cond_prob_recursive``), ``cond_prob`` the parity
+closed form; both resolve to the two-valued symbol {pi, 1 - pi} before
 converting to float, so they agree exactly, with no tolerance.
 """
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .bitseq import as_bit_array
 from .errors import CapacityError
 
 TABLE_ORDER_CAP = 20
+PI_FLOOR = 1e-9
 
 
 class Variant(enum.Enum):
@@ -43,8 +44,8 @@ class Variant(enum.Enum):
 class KernelSpec:
     """An order-k kernel: variant, order, and transition parameter pi.
 
-    pi = 0.5 yields the fair-coin process and is allowed; pi in {0, 1}
-    would make the chain non-ergodic and is rejected.
+    pi = 0.5 yields the fair-coin process.  pi must lie in [PI_FLOOR,
+    1 - PI_FLOOR], as the sampler's draws resolve it only to 2^-53.
     """
 
     variant: Variant
@@ -59,8 +60,8 @@ class KernelSpec:
         if order is None or order < 1:
             raise ValueError(f"order must be a positive integer, got {self.order!r}")
         object.__setattr__(self, "order", order)
-        if not 0.0 < self.pi < 1.0:
-            raise ValueError(f"pi must lie strictly inside (0, 1), got {self.pi!r}")
+        if not PI_FLOOR <= self.pi <= 1.0 - PI_FLOOR:
+            raise ValueError(f"pi must lie in [{PI_FLOOR:g}, 1 - {PI_FLOOR:g}], got {self.pi!r}")
 
 
 def as_context(context, order: int) -> np.ndarray:

@@ -18,7 +18,7 @@ Two source contracts are used throughout the package:
 
 Each source makes only ``_fill``, which writes its next bits in place
 (the OS source copies ``os.urandom``'s bytes, a replay source its own,
-held packed); ``bits``, ``packed`` and the draws all read it.  The
+held packed); ``bits`` and the draws both read it.  The
 deterministic source is counter-mode splitmix64: block i of the stream
 is ``mix64(seed + (i + 1) * 0x9E3779B97F4A7C15)`` and the 64 bits of
 each block are consumed least-significant first.  Same seed, same
@@ -33,7 +33,7 @@ import os
 
 import numpy as np
 
-from .bitseq import as_bit_array
+from .bitseq import packed_bit_count
 from .errors import SourceExhaustedError
 
 _MASK64 = (1 << 64) - 1
@@ -64,10 +64,8 @@ def mix64(z: int) -> int:
 class BitSource:
     """Contract: ``bits(n)`` returns the next n stream bits as uint8.
 
-    ``packed(n)`` returns them as ``bitseq``'s packed bytes: ceil(n / 8)
-    uint8, the first bit lowest in the first byte, bits past the n-th 0.
-    A source makes only ``_fill``, which writes its bits in place; ``bits``,
-    ``packed`` and the draws all read it.
+    A source makes only ``_fill``, which writes its bits in place; ``bits``
+    and the draws both read it.
     """
 
     def bits(self, n: int) -> np.ndarray:
@@ -78,9 +76,6 @@ class BitSource:
         z = np.empty(-(-n // 64) + 1, "<u8")
         start = self._fill(z, n, np.empty_like(z))
         return np.unpackbits(z.view(np.uint8), count=start + n, bitorder="little")[start:]
-
-    def packed(self, n: int) -> np.ndarray:
-        return np.packbits(self.bits(n), bitorder="little")
 
     def _fill(self, words: np.ndarray, n: int, temp: np.ndarray) -> int:
         """Write the next n bits into the bytes of `words`, a "<u8" array of
@@ -130,20 +125,14 @@ class OSBitSource(BitSource):
 
 
 class ReplayBitSource(BitSource):
-    """Replays a fixed, finite bit sequence; errors on exhaustion."""
+    """Replays the first n bits of packed bytes (all by default), read as
+    `BitSequence.from_packed` reads them; errors on exhaustion."""
 
-    def __init__(self, bits):
-        raw = as_bit_array(bits)
-        self._size = raw.size
-        self._bytes = np.packbits(raw, bitorder="little")  # a copy of `bits`
-        self._pos = 0
-
-    @classmethod
-    def from_packed(cls, data: bytes) -> "ReplayBitSource":
-        """Replay `data`'s bytes as they are: 8 bits each, first bit lowest."""
-        source = object.__new__(cls)
-        source._bytes, source._size, source._pos = np.frombuffer(data, np.uint8), 8 * len(data), 0
-        return source
+    def __init__(self, data: bytes, n: int | None = None):
+        if not isinstance(data, (bytes, bytearray)):  # not a 0/1 array read as bytes
+            raise TypeError(f"replayed bits must be packed bytes, got {type(data).__name__}")
+        self._size, self._pos = packed_bit_count(data, n), 0
+        self._bytes = np.frombuffer(bytes(data), np.uint8)  # copies a bytearray, not bytes
 
     @property
     def remaining(self) -> int:

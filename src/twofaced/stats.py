@@ -78,10 +78,6 @@ class BlockStats:
     df: int
 
     @property
-    def frequencies(self) -> np.ndarray:
-        return self.counts / self.windows
-
-    @property
     def p_value(self) -> float:
         return chi_square_pvalue(self.chi_square, self.df)
 

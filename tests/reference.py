@@ -1,7 +1,9 @@
 """Literal forms of the paper's definitions, kept to check the fast paths.
 
-Nothing in the package imports this module; the tests do.  Each function
-here restates a definition the production code implements another way:
+It lives in the test tree, so the installed package does not ship it;
+nothing in the package or the scripts imports it, and the tests do.  Each
+function here restates a definition the production code implements
+another way:
 
 * `cond_prob_recursive` follows the kernel's order-doubling recursion
   instead of the parity closed form of `kernels.cond_prob`.
@@ -28,13 +30,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bitseq import BitSequence, as_bit_array
-from .errors import CapacityError, SourceExhaustedError
-from .generator import GeneratorState, init_fixed
-from .kernels import (KernelSpec, KernelTable, TABLE_ORDER_CAP, Variant, _check_bit,
-                      as_context, context_to_int, kernel_table)
-from .stats import BLOCK_LEN_CAP, conditional_entropy
-from .transform import transform
+from twofaced.bitseq import BitSequence, as_bit_array
+from twofaced.errors import CapacityError, SourceExhaustedError
+from twofaced.generator import GeneratorState, init_fixed
+from twofaced.kernels import (KernelSpec, KernelTable, TABLE_ORDER_CAP, Variant, _check_bit,
+                              as_context, context_to_int, kernel_table)
+from twofaced.stats import BLOCK_LEN_CAP, conditional_entropy
+from twofaced.transform import transform
 
 EXTENSION_CAP = 8
 

@@ -7,9 +7,9 @@ import time
 
 import numpy as np
 
-from twofaced._reference import (StateDistribution, chain_conditional_entropy,
-                                 cond_prob_recursive, exact_block_distribution,
-                                 propagate)
+from reference import (StateDistribution, chain_conditional_entropy,
+                       cond_prob_recursive, exact_block_distribution,
+                       propagate)
 from twofaced.bitseq import BitSequence
 from twofaced.combine import CutSequence, twice_two_faced
 from twofaced.expander import (ExpanderConfig, bernoulli_decode,

@@ -116,17 +116,20 @@ def test_array_is_read_only():
 
 
 def test_owners_copy_a_shared_array():
-    # as_bit_array hands a uint8 array back as is; BitSequence and
-    # ReplayBitSource copy it, leaving the caller's array writable and
-    # not following later writes to it.
+    # as_bit_array hands a uint8 array back as is; BitSequence copies it,
+    # leaving the caller's array writable and not following later writes
+    # to it, and ReplayBitSource copies a bytearray of packed bits.
     arr = np.array([0, 1, 1, 0], dtype=np.uint8)
     assert as_bit_array(arr) is arr
-    seq, src = BitSequence(arr), ReplayBitSource(arr)
+    seq = BitSequence(arr)
     buf = bytearray([0, 1])
     from_buf = BitSequence(buf)
+    packed = bytearray(seq.to_packed())
+    src = ReplayBitSource(packed, 4)
     assert arr.flags.writeable
     arr[:] = 1
     buf[0] = 1
+    packed[0] = 0xFF
     assert seq == BitSequence("0110")
     assert src.bits(4).tolist() == [0, 1, 1, 0]
     assert from_buf == BitSequence("01")

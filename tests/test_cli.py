@@ -88,7 +88,7 @@ def test_gen_fixed_init_and_entropy_file(tmp_path):
             "--entropy-file", str(path)]
     code, out, err = invoke(argv)
     want = generate(init_fixed(KernelSpec(Variant.PLAIN, 2, 0.3), "01"), 8,
-                    UniformRealSource(ReplayBitSource(entropy)))
+                    UniformRealSource(ReplayBitSource(entropy.to_packed(), len(entropy))))
     assert (code, err) == (0, "")
     assert decode_stream(out, "ascii01") == want
     # eight draws take 424 bits; a file of 52 bytes holds 416
@@ -380,6 +380,37 @@ def test_whiten_order_usage_errors_exit_2():
         assert message in err  # argparse prints usage errors
 
 
+def _sampling_commands(pi, path):
+    """(command, argv) for each command that samples a kernel at `pi`; the
+    config at `path` holds one component."""
+    path.write_text(f"cut 8\ncomponent order=8 pi={pi} seed=1\n")
+    return (("gen", ["gen", "--order", "8", "--pi", pi, "--length", "64", "--seed", "3"]),
+            ("whiten", ["whiten", "--order", "8", "--pi", pi, "--seed", "3"]),
+            ("combine", ["combine", "--config", str(path), "--length", "8"]),
+            ("whiten", ["whiten", "--config", str(path)]))
+
+
+@pytest.mark.parametrize("pi", ["1e-320", "1e-17", repr(1 - 1e-10)])
+def test_pi_the_draws_cannot_resolve_exits_1(tmp_path, pi):
+    # a draw resolves pi only to 2^-53: gen printed the same stream at
+    # 1e-320 as at 1e-17, and at 1e-320, where 1 - pi is 1.0, a stream
+    # that followed no kernel
+    bound = f"pi must lie in [1e-09, 1 - 1e-09], got {float(pi)!r}\n"
+    for cmd, argv in _sampling_commands(pi, tmp_path / "mask.cfg"):
+        code, out, err = invoke(argv, b"0" * 8)
+        assert (code, out) == (1, b""), argv
+        line = "config line 2: " if "--config" in argv else ""
+        assert err == f"twofaced {cmd}: {line}{bound}", argv
+
+
+@pytest.mark.parametrize("pi", ["1e-9", repr(1 - 1e-9)])
+def test_pi_at_the_floor_runs(tmp_path, pi):
+    for _, argv in _sampling_commands(pi, tmp_path / "mask.cfg"):
+        code, out, err = invoke(argv, b"0" * 8)
+        assert (code, err) == (0, ""), argv
+        assert len(out.strip()) in (8, 64)
+
+
 class _UnreadStdin:
     def read(self, *args):
         pytest.fail("stdin was read before the usage checks")
@@ -573,7 +604,7 @@ import twofaced.cli
 def scipy_modules():
     # the test-only oracles must not load either
     return sorted(m for m in sys.modules
-                  if m in ("scipy", "twofaced._reference") or m.startswith("scipy."))
+                  if m in ("scipy", "reference") or m.startswith("scipy."))
 
 assert not scipy_modules(), scipy_modules()
 out = io.BytesIO()
@@ -637,7 +668,7 @@ def test_entropy_file_source_holds_the_file_packed(tmp_path):
     # the CLI replays the file's bytes as they are; unpacking them to one
     # byte per bit and packing them again peaked at 1.126 B/bit
     path = tmp_path / "entropy.bin"
-    data = CounterBitSource(5).packed(8 << 20).tobytes()  # 1 MiB
+    data = BitSequence(CounterBitSource(5).bits(8 << 20)).to_packed()  # 1 MiB
     path.write_bytes(data)
     parser = build_parser()
     args = parser.parse_args(["gen", "--order", "8", "--pi", "0.2", "--length", "8",
@@ -649,7 +680,7 @@ def test_entropy_file_source_holds_the_file_packed(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 0.3 * 8 * len(data)
-    assert src.packed(8 * len(data)).tobytes() == data
+    assert BitSequence(src.bits(8 * len(data))).to_packed() == data
 
 
 _NO_TABLES_PROBE = """

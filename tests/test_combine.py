@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference import StateDistribution, exact_block_distribution
 from twofaced.bitseq import BitSequence
 from twofaced.cli import run
 from twofaced.combine import (ComponentSpec, CutSequence, TwiceTwoFacedConfig,
                               component_stream, default_config, load_config,
                               parse_config, render_config, twice_two_faced,
                               twice_two_faced_from_config)
-from twofaced._reference import StateDistribution, exact_block_distribution
 from twofaced.errors import ConfigurationError
 from twofaced.generator import generate, init_uniform
 from twofaced.kernels import KernelSpec, Variant

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 
 import numpy as np
@@ -6,10 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference import StateDistribution, cond_prob_recursive
 from twofaced.errors import CapacityError
-from twofaced._reference import StateDistribution, cond_prob_recursive
 from twofaced.generator import init_fixed
-from twofaced.kernels import (KernelSpec, Variant, as_context, cond_prob,
+from twofaced.kernels import (PI_FLOOR, KernelSpec, Variant, as_context, cond_prob,
                               context_to_int, int_to_context, kernel_table)
 
 pis = st.floats(min_value=1e-6, max_value=1.0 - 1e-6,
@@ -34,6 +35,16 @@ def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec(Variant.PLAIN, 2, 1.0)
     KernelSpec(Variant.PLAIN, 2, 0.5)  # the fair-coin kernel is allowed
+
+
+def test_kernel_spec_pi_bound_is_inclusive():
+    # below PI_FLOOR the draws' 2^-53 grid is more than 1.1e-7 of pi off
+    for pi in (PI_FLOOR, 1.0 - PI_FLOOR):
+        assert KernelSpec(Variant.PLAIN, 2, pi).pi == pi
+    for pi in (math.nextafter(PI_FLOOR, 0.0), math.nextafter(1.0 - PI_FLOOR, 1.0),
+               2.0 ** -53, float("nan")):
+        with pytest.raises(ValueError, match=re.escape("pi must lie in [1e-09, 1 - 1e-09]")):
+            KernelSpec(Variant.PLAIN, 2, pi)
 
 
 def test_base_cases():

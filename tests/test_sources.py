@@ -5,14 +5,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference import ReplayRealSource
 from twofaced.bitseq import BitSequence
 from twofaced.errors import SourceExhaustedError
-from twofaced._reference import ReplayRealSource
 from twofaced.sources import (CounterBitSource, OSBitSource, ReplayBitSource,
                               UniformRealSource, mix64)
 from twofaced.stats import block_frequencies
 
 _M64 = (1 << 64) - 1
+
+
+def _replay(bits) -> ReplayBitSource:
+    seq = BitSequence(bits)
+    return ReplayBitSource(seq.to_packed(), len(seq))
 
 
 def _mix64_oracle(z):
@@ -62,7 +67,7 @@ def test_equal_seeds_equal_streams():
 @pytest.mark.parametrize("call", [
     lambda n: CounterBitSource(0).bits(n),
     lambda n: OSBitSource().bits(n),
-    lambda n: ReplayBitSource("1010").bits(n),
+    lambda n: _replay("1010").bits(n),
     lambda n: UniformRealSource.from_seed(0).reals(n),
     lambda n: UniformRealSource.from_seed(0).at_least(n, (0.5,)),
 ], ids=["counter", "os", "replay", "reals", "at_least"])
@@ -77,15 +82,6 @@ def test_os_source_shape():
     assert out.size == 37 and set(out.tolist()) <= {0, 1}
 
 
-@pytest.mark.parametrize("n", [0, 1, 7, 8, 37])
-def test_os_packed_contract(n):
-    src = OSBitSource()
-    for _ in range(8):  # random bytes: a fill left unzeroed shows within a few reads
-        out = src.packed(n)
-        assert out.dtype == np.uint8 and out.size == -(-n // 8)
-        assert not np.unpackbits(out, bitorder="little")[n:].any()
-
-
 def test_counter_seed_must_be_an_integer():
     # no silent truncation: 1.9 is not seed 1, nor "7" seed 7
     for bad in (1.9, "7", 2.5, None):
@@ -97,7 +93,7 @@ def test_counter_seed_must_be_an_integer():
 
 
 def test_replay_source_exhaustion():
-    src = ReplayBitSource("1010")
+    src = _replay("1010")
     assert src.bits(3).tolist() == [1, 0, 1]
     with pytest.raises(SourceExhaustedError):
         src.bits(2)
@@ -105,9 +101,10 @@ def test_replay_source_exhaustion():
 
 def test_replay_source_holds_its_bits_packed():
     bits = CounterBitSource(9).bits(10 ** 6)
+    data = bytearray(BitSequence(bits).to_packed())  # copied, and so traced
     tracemalloc.start()
     try:
-        src = ReplayBitSource(bits)
+        src = ReplayBitSource(data, bits.size)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -120,26 +117,46 @@ def test_file_source_round_trip(tmp_path):
     seq = BitSequence("10110011" * 3)
     path = tmp_path / "entropy.bin"
     path.write_bytes(seq.to_packed())
-    src = ReplayBitSource.from_packed(path.read_bytes())
+    src = ReplayBitSource(path.read_bytes())
     assert BitSequence(src.bits(24)) == seq
     with pytest.raises(SourceExhaustedError):
         src.bits(1)
-    src = ReplayBitSource.from_packed(path.read_bytes())
-    assert src.packed(24).tobytes() == path.read_bytes()
 
 
 def test_replay_source_from_packed_reads_bytes_first_bit_lowest():
     # unaligned reads of the bytes as they are match the unpacked read of
     # them, and a request past the end consumes nothing
-    data = CounterBitSource(4).packed(1001).tobytes()
-    src = ReplayBitSource.from_packed(data)
-    want = ReplayBitSource(BitSequence.from_packed(data))
-    assert src.remaining == want.remaining == 1008
-    for n in (3, 64, 7, 928):
-        assert np.array_equal(src.bits(n), want.bits(n))
+    data = BitSequence(CounterBitSource(4).bits(1001)).to_packed()
+    src = ReplayBitSource(data)
+    want = BitSequence.from_packed(data).array
+    assert src.remaining == want.size == 1008
+    for start, stop in ((0, 3), (3, 67), (67, 74), (74, 1002)):
+        assert np.array_equal(src.bits(stop - start), want[start:stop])
     with pytest.raises(SourceExhaustedError, match="requested 8 bits but only 6 remain"):
         src.bits(8)
-    assert np.array_equal(src.bits(6), want.bits(6))
+    assert np.array_equal(src.bits(6), want[1002:])
+
+
+@pytest.mark.parametrize("bits", [np.array([0, 1, 1, 0], np.uint8), "0110", [0, 1, 1, 0]],
+                         ids=["uint8-array", "str", "list"])
+def test_replay_source_takes_only_packed_bytes(bits):
+    # a 0/1 array read as packed bytes would replay 8 times as many bits
+    with pytest.raises(TypeError, match="must be packed bytes"):
+        ReplayBitSource(bits)
+
+
+def test_replay_source_bit_count_is_checked_as_from_packed():
+    data = BitSequence(CounterBitSource(6).bits(24)).to_packed()
+    for n, message in ((-1, "bit count must be nonnegative, got -1"),
+                       (25, "3 bytes hold fewer than 25 bits")):
+        for build in (ReplayBitSource, BitSequence.from_packed):
+            with pytest.raises(ValueError, match=message):
+                build(data, n)
+    src = ReplayBitSource(data, 17)  # the last byte holds one bit of the 17
+    assert src.remaining == 17
+    assert BitSequence(src.bits(17)) == BitSequence.from_packed(data, 17)
+    with pytest.raises(SourceExhaustedError, match="requested 1 bits but only 0 remain"):
+        src.bits(1)
 
 
 def test_source_bits_wrap_as_bitsequence():
@@ -196,7 +213,7 @@ def test_uniform_reals_equal_weighted_sum(seed, n):
 def test_uniform_reals_from_replayed_bits_equal_weighted_sum():
     bits = np.concatenate([np.ones(53, np.uint8), np.zeros(53, np.uint8),
                            CounterBitSource(5).bits(53 * 98)])
-    got = UniformRealSource(ReplayBitSource(bits)).reals(100)
+    got = UniformRealSource(_replay(bits)).reals(100)
     assert np.array_equal(got, _weighted_sum_reals(bits, 100))
     assert got[0] == 1.0 - 2.0 ** -53 and got[1] == 0.0
 
@@ -224,20 +241,20 @@ def test_at_least_equals_compared_reals(seed, n):
 def test_at_least_from_replayed_bits_and_exhaustion():
     bits = CounterBitSource(5).bits(53 * 1000 + 7)
     for skip in (0, 7):
-        src = ReplayBitSource(bits)
+        src = _replay(bits)
         src.bits(skip)
         got = UniformRealSource(src).at_least(1000, _THRESHOLDS)
-        u = UniformRealSource(ReplayBitSource(bits[skip:])).reals(1000)
+        u = UniformRealSource(_replay(bits[skip:])).reals(1000)
         assert all(np.array_equal(d, u >= t) for t, d in zip(_THRESHOLDS, got))
         assert src.remaining == 7 - skip
-    src = ReplayBitSource(bits[:53 * 100 - 1])
+    src = _replay(bits[:53 * 100 - 1])
     with pytest.raises(SourceExhaustedError, match="requested 5300 bits but only 5299"):
         UniformRealSource(src).at_least(100, (0.5,))
     assert src.remaining == 5299  # nothing consumed
 
 
 def test_at_least_threshold_edges():
-    draws = UniformRealSource(ReplayBitSource([1] * 53 + [0] * 53))
+    draws = UniformRealSource(_replay([1] * 53 + [0] * 53))
     assert [d.tolist() for d in draws.at_least(2, (1.0, 1 - 2.0 ** -53, 2.0 ** -60))] == [
         [False, False], [True, False], [True, False]]
     for bad in ((0.0,), (-0.1,), (1.5,), (0.5, float("nan"))):
@@ -249,18 +266,6 @@ def test_replay_real_source_at_least():
     src = ReplayRealSource([0.1, 0.2, 0.9])
     low, high = src.at_least(3, (0.2, 0.8))
     assert low.tolist() == [False, True, True] and high.tolist() == [False, False, True]
-
-
-@given(st.integers(0, _M64), st.integers(0, 200), st.integers(0, 300))
-def test_counter_packed_equals_packed_bits(seed, skip, n):
-    src, ref = CounterBitSource(seed), CounterBitSource(seed)
-    src.bits(skip)
-    packed = src.packed(n)
-    bits = ref.bits(skip + n)[skip:]
-    assert packed.dtype == np.uint8 and packed.size == -(-n // 8)
-    assert np.array_equal(packed, ReplayBitSource(bits).packed(n))
-    assert packed.tobytes() == BitSequence(bits).to_packed()
-    assert np.array_equal(src.bits(9), ref.bits(9))
 
 
 # Calls that grow the kept buffers, shrink them, cross the eight-draw period
@@ -289,18 +294,18 @@ def test_returned_arrays_survive_the_next_call():
     _draw_calls(src, _CALLS)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     counter = CounterBitSource(9)
-    packed = counter.packed(1000)
-    want = packed.copy()
-    counter.packed(1000)
+    bits = counter.bits(1000)
+    want = bits.copy()
+    counter.bits(1000)
     UniformRealSource(counter).at_least(1000, (0.5,))
-    assert np.array_equal(packed, want)
+    assert np.array_equal(bits, want)
 
 
 def test_replayed_draws_in_calls_equal_one_call():
     bits = CounterBitSource(5).bits(53 * sum(_CALLS) + 3)
-    src = ReplayBitSource(bits)
+    src = _replay(bits)
     chunked = _draw_calls(UniformRealSource(src), _CALLS)
-    whole = UniformRealSource(ReplayBitSource(bits)).at_least(sum(_CALLS), (0.2, 0.8))
+    whole = UniformRealSource(_replay(bits)).at_least(sum(_CALLS), (0.2, 0.8))
     for i in range(2):
         assert np.array_equal(np.concatenate([c[i] for c in chunked]), whole[i])
     assert src.remaining == 3
@@ -313,7 +318,7 @@ def test_replayed_draws_in_calls_equal_one_call():
 # os.urandom's 53n / 8, as the counter and replay sources write in place.
 @pytest.mark.parametrize("make, extra", [
     (lambda: CounterBitSource(9), 0),
-    (lambda: ReplayBitSource(CounterBitSource(9).bits(53 * 2 * (1 << 15))), 0),
+    (lambda: _replay(CounterBitSource(9).bits(53 * 2 * (1 << 15))), 0),
     (OSBitSource, 7)], ids=["counter", "replay", "os"])
 def test_second_pass_allocates_only_its_draws(make, extra):
     # the first pass sizes the kept buffers; the second allocates only the
@@ -330,21 +335,21 @@ def test_second_pass_allocates_only_its_draws(make, extra):
     assert peak < 2 * n + extra * n + 4096
 
 
-_CALL = st.tuples(st.sampled_from(["packed", "bits", "draws"]), st.integers(0, 700))
+_CALL = st.tuples(st.sampled_from(["bits", "draws"]), st.integers(0, 700))
 
 
 @given(st.integers(0, _M64), st.lists(_CALL, min_size=1, max_size=8))
-def test_packed_bits_and_draws_read_one_block_path(seed, calls):
-    # one counter source through packed, bits and draws in any order, at
-    # sizes that cross 64-bit words and grow the kept ramp and draw buffers
+def test_bits_and_draws_read_one_block_path(seed, calls):
+    # one counter source through bits and draws in any order, at sizes
+    # that cross 64-bit words and grow the kept ramp and draw buffers
     total = sum(53 * n if op == "draws" else n for op, n in calls)
-    ref = ReplayBitSource(CounterBitSource(seed).bits(total))
+    ref = _replay(CounterBitSource(seed).bits(total))
     src = CounterBitSource(seed)
     draws, ref_draws = UniformRealSource(src), UniformRealSource(ref)
     for op, n in calls:
         if op == "draws":
             got, want = draws.at_least(n, (0.2, 0.8)), ref_draws.at_least(n, (0.2, 0.8))
         else:
-            got, want = [getattr(src, op)(n)], [getattr(ref, op)(n)]
+            got, want = [src.bits(n)], [ref.bits(n)]
         assert all(np.array_equal(g, w) for g, w in zip(got, want)), (op, n)
     assert ref.remaining == 0

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference import (StateDistribution, exact_block_distribution,
+                       m_select_definitional)
 from twofaced.bitseq import BitSequence
 from twofaced.kernels import KernelSpec, Variant, int_to_context
 from twofaced.sources import CounterBitSource
-from twofaced._reference import (StateDistribution, exact_block_distribution,
-                                 m_select_definitional)
 from twofaced.transform import inverse_transform, transform
 
 bit_lists = st.lists(st.integers(0, 1), max_size=128)
