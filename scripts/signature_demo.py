@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Show the two faces of an order-k stream.
 
-Generates a long sample, then prints the block-frequency battery across
-block lengths: uniformity is accepted up to the order and rejected just
-past it, even though the stream's entropy rate is far below 1 bit.
+The order-m conditional entropy is exactly 1 bit for m <= k and drops to
+the binary entropy of pi for every m > k.  Samples one stream, then
+prints the exact h_m next to plug-in estimates, and the block-frequency
+battery across block lengths: uniformity is accepted up to the order and
+rejected just past it, even though the entropy rate is far below 1 bit.
 """
 import argparse
 
@@ -11,7 +13,7 @@ from twofaced.generator import (exact_conditional_entropy, generate,
                                 init_uniform, limit_entropy)
 from twofaced.kernels import KernelSpec, Variant
 from twofaced.sources import CounterBitSource, UniformRealSource
-from twofaced.stats import analyze, report_text
+from twofaced.stats import analyze, empirical_conditional_entropy, report_text
 
 
 def main():
@@ -21,21 +23,24 @@ def main():
     ap.add_argument("--length", type=int, default=10 ** 6)
     ap.add_argument("--seed", type=int, default=9)
     ap.add_argument("--alpha", type=float, default=1e-4)
+    ap.add_argument("--max-m", type=int, default=None)
     args = ap.parse_args()
 
     kernel = KernelSpec(Variant.PLAIN, args.order, args.pi)
-    print(f"kernel: order={args.order} pi={args.pi} seed={args.seed}")
-    print(f"entropy rate: {limit_entropy(args.pi):.6f} bits/letter "
-          f"(h_m = 1 exactly for m <= {args.order})")
-    for m in (args.order, args.order + 1):
-        print(f"exact h_{m} = {exact_conditional_entropy(kernel, m):.6f}")
-
+    max_m = args.max_m or args.order + 1
     source = CounterBitSource(args.seed)
     state = init_uniform(kernel, source)
     seq = generate(state, args.length, UniformRealSource(source))
-    print(f"\nblock-frequency battery on {args.length} sampled bits "
-          f"(alpha = {args.alpha:g}):")
-    print(report_text(analyze(seq, args.order + 1), args.alpha), end="")
+
+    print(f"order={args.order} pi={args.pi} H(pi)={limit_entropy(args.pi):.6f} "
+          f"sample={args.length} bits seed={args.seed}")
+    print(f"{'m':>3} {'exact h_m':>12} {'estimate':>12} {'error':>10}")
+    for m in range(1, max_m + 1):
+        exact = exact_conditional_entropy(kernel, m)
+        est = empirical_conditional_entropy(seq, m)
+        print(f"{m:>3} {exact:>12.6f} {est:>12.6f} {abs(est - exact):>10.2e}")
+    print(f"\nblock-frequency battery (alpha = {args.alpha:g}):")
+    print(report_text(analyze(seq, max_m), args.alpha), end="")
 
 
 if __name__ == "__main__":

@@ -43,7 +43,7 @@ def _imports_reference(node) -> bool:
 
 def test_layout_sees_the_package():
     assert {p.name for p in MODULES} >= {"generator.py", "sources.py", "transform.py"}
-    assert {p.name for p in SCRIPTS} >= {"entropy_staircase.py", "signature_demo.py"}
+    assert {p.name for p in SCRIPTS} >= {"expansion_demo.py", "signature_demo.py"}
     assert {p.name for p in BENCH} >= {"pins.py", "tracer.py"}
     assert REFERENCE.is_file()
 
