@@ -15,7 +15,7 @@ import numpy as np
 
 from twofaced.expander import ExpanderConfig, entropy_inverse, expand
 from twofaced.sources import CounterBitSource
-from twofaced.stats import analyze, block_frequencies, report_text
+from twofaced.stats import analyze, report_text
 
 
 def main():
@@ -35,22 +35,19 @@ def main():
     print(f"rate h = {h:.6f}, matched bias pi = {entropy_inverse(h):.8f}")
 
     config = ExpanderConfig(order=args.order, target_len=args.length)
-    counts = {m: np.zeros(1 << m, dtype=np.int64)
-              for m in range(1, args.max_block + 1)}
-    windows = {m: 0 for m in counts}
+    counts, windows = [0] * args.max_block, [0] * args.max_block
     source = CounterBitSource(args.seed)
     for _ in range(args.runs):
         out = expand(source.bits(args.seed_bits), config)
-        for m in counts:
-            stats = block_frequencies(out, m)
-            counts[m] += stats.counts
-            windows[m] += stats.windows
+        for i, stats in enumerate(analyze(out, args.max_block)):  # m = i + 1
+            counts[i] += stats.counts
+            windows[i] += stats.windows
 
     print("\naggregated deviation from uniform block frequencies:")
     print(f"{'m':>3} {'windows':>10} {'max relative deviation':>24}")
-    for m in counts:
-        reldev = float(np.abs(counts[m] / windows[m] - 2.0 ** -m).max()) * (1 << m)
-        print(f"{m:>3} {windows[m]:>10} {reldev:>24.4f}")
+    for m, (c, w) in enumerate(zip(counts, windows), 1):
+        reldev = float(np.abs(c / w - 2.0 ** -m).max()) * (1 << m)
+        print(f"{m:>3} {w:>10} {reldev:>24.4f}")
 
     full = args.order + args.length  # h = 1: seed as long as the output
     seed = CounterBitSource(args.seed + 1).bits(full)

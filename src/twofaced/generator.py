@@ -11,20 +11,21 @@ takes `_PASS_DRAWS` draws a pass, since the `UniformRealSource` keeps
 `at_least`'s buffers at the size of its largest call: past the output,
 memory stays bounded, and every pass after the first reuses the first's.
 
-Two steppers share one table from order 8 up; each order below 8 has its
-own.  Below `_SCAN_ORDER` a table loop takes one Python iteration per
-lookup.  From it up, `_block_scan` steps a block of order // 8 output
-bytes per round of numpy calls, since every bit leaving the window during
-a block was emitted before it; it reads the loop's letters, shifted by 8,
-and a byte whose d is not 0 resets the letter.  A round costs about 14 us
-whatever its length, so the scan pays only once blocks are long: on
-2^15-draw passes it took 1.67 times the loop's time at order 512, 1.10 at
-768 and 0.99 at 832, and from 896 up it won, taking 0.87 of it at 1024,
-0.42 at 4096 and 0.29 at 2^17.  At orders that are not a multiple of 8
-each leaving byte straddles two history bytes, which costs the loop a
-lookup's worth more per byte but the scan one more shift per block, so
-there the two tied between 513 and 545, and from 577 up the scan won,
-taking 0.76 of the loop's time at 705-769 and 0.22 at 2^17 - 3.
+Each order below 9 has its own step table; orders from 9 up read order
+8's with only its final letters.  Below `_SCAN_ORDER` a table loop takes
+one Python iteration per lookup.  From it up, `_block_scan` steps a block
+of order // 8 output bytes per round of numpy calls, since every bit
+leaving the window during a block was emitted before it; it reads the
+loop's letters, shifted by 8, and a byte whose d is not 0 resets the
+letter.  A round costs about 14 us whatever its length, so the scan pays
+only once blocks are long: on 2^15-draw passes it took 1.67 times the
+loop's time at order 512, 1.10 at 768 and 0.99 at 832, and from 896 up it
+won, taking 0.87 of it at 1024, 0.42 at 4096 and 0.29 at 2^17.  At orders
+that are not a multiple of 8 each leaving byte straddles two history
+bytes, which costs the loop a lookup's worth more per byte but the scan
+one more shift per block, so there the two tied between 513 and 545, and
+from 577 up the scan won, taking 0.76 of the loop's time at 705-769 and
+0.22 at 2^17 - 3.
 
 `exact_conditional_entropy` is the entropy staircase in closed form; the
 2^k-state chain in `tests/reference.py` checks it.
@@ -121,7 +122,7 @@ def _nibble_steps(s: int) -> tuple[np.ndarray, np.ndarray]:
 @functools.cache
 def _byte_steps(s: int) -> tuple[bytes, memoryview]:
     """Tables that take 8 sampler steps at once at orders k with
-    s = min(k, 8).
+    s = min(k, 9).
 
     With g = [u >= pi] and d = g ^ [u >= 1 - pi], a step emits g ^ m, where
     m = letter & d is its masked bit, and moves the pi-letter to
@@ -133,14 +134,22 @@ def _byte_steps(s: int) -> tuple[bytes, memoryview]:
     bytes, they give the byte's m and letter << 8 | (m << 8 - s) & 255: the
     final letter and the m that leave during the next byte, up to order 8.
     Below order 8 the table feeds back the m that leave within the byte.
+    At s = 9, above order 8, none leave during the next byte, as there
+    they leave through the history: order 8's table, its letters alone.
 
     Built on first use from two nibbles of `_nibble_steps`: the second
     nibble starts from the first's final letter, with the first's m that
     leave during it, (m_hi << 4 >> s) & 15, XORed into its x.  So each
     row d << 9 | letter << 8 | x_hi << 4 of 16 entries, x_lo = 0 .. 15, is
     one of 512 rows (d_lo, the first's letter and m_hi), taken in one
-    gather.
+    gather.  The loop reads the letters through a memoryview: a list was
+    about 12 ns a lookup faster at orders 64 and 512 but took about 1.9 ms
+    to build in a fresh process, where the ladder's table loop makes
+    7.5*10^4 lookups above order 8.
     """
+    if s == 9:
+        masked, carry = _byte_steps(8)
+        return masked, memoryview(np.frombuffer(carry, np.uint16) & 0xFF00)
     m, letter = _nibble_steps(s)
     nib = np.arange(16)
     # The second nibble by d_lo, its letter, m_hi and x_lo: the entry at
@@ -156,19 +165,6 @@ def _byte_steps(s: int) -> tuple[bytes, memoryview]:
     masked <<= 8 - s
     steps |= masked
     return table, memoryview(steps.reshape(-1))
-
-
-@functools.cache
-def _wide_steps() -> memoryview:
-    """`_byte_steps(8)`'s final letters shifted by 8: both steppers above
-    order 8 carry them alone, as there the m leave through the history.
-
-    The loop reads them through a memoryview; 0 and 256 are cached ints
-    either way.  A list was about 12 ns a lookup faster at orders 64 and
-    512 but took about 1.9 ms to build in a fresh process, where the
-    ladder's table loop makes 7.5*10^4 lookups above order 8.
-    """
-    return memoryview(np.frombuffer(_byte_steps(8)[1], np.uint16) & 0xFF00)
 
 
 def _leaving(history: np.ndarray, shift: int, m: int) -> np.ndarray:
@@ -208,9 +204,7 @@ def _generate_steps(state: GeneratorState, ge_pi, ge_q) -> np.ndarray:
 
 def _table_loop(dx, k: int, letter: int) -> np.ndarray:
     """The masked bytes, one Python iteration and table lookup each."""
-    masked, carry = _byte_steps(min(k, 8))
-    if k > 8:
-        carry = _wide_steps()
+    masked, carry = _byte_steps(min(k, 9))
     pad = -k % 8
     history = bytearray(-(-k // 8))  # the window's m, all 0
     emit = history.append
@@ -245,8 +239,8 @@ def _block_scan(dx, k: int, letter: int) -> np.ndarray:
     letter (no m feeds back within it) and starts a new segment, and any
     other byte XORs the letter by its final letter from letter 0.
     """
-    masked = np.frombuffer(_byte_steps(8)[0], np.uint8)
-    final = np.frombuffer(_wide_steps(), np.uint16)
+    masked = np.frombuffer(_byte_steps(9)[0], np.uint8)
+    final = np.frombuffer(_byte_steps(9)[1], np.uint16)
     pad = -k % 8
     start = -(-k // 8)
     history = np.zeros(start + dx.size, np.uint8)

@@ -23,6 +23,10 @@ def test_rejects_non_bits():
         BitSequence.from_ascii01("01x")
     with pytest.raises(ValueError, match="one-dimensional"):
         as_bit_array(np.zeros((2, 4), np.uint8))
+    # uint8 input skips the 0-or-1 compare, so only its max guards it
+    for raw in (np.array([0, 2], np.uint8), b"\x01\x02"):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            as_bit_array(raw)
 
 
 def test_repr_shows_at_most_64_bits():
@@ -100,6 +104,10 @@ def test_xor_and_concat():
     assert (a ^ b) == BitSequence("11100")
     with pytest.raises(ValueError):
         a ^ BitSequence("01")
+    # only bit sequences compare equal or XOR
+    assert (BitSequence("01") == "01") is False
+    with pytest.raises(TypeError, match="unsupported operand"):
+        BitSequence("01") ^ 1
 
 
 def test_slicing_and_indexing():

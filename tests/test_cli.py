@@ -153,9 +153,11 @@ def test_combine_config(tmp_path):
     path.write_text(render_config(cfg))
     code, out, _ = invoke(["combine", "--config", str(path), "--length", "256"])
     assert code == 0 and len(out.strip()) == 256
-    # --config without --length is a usage error
+    # --config without --length is a usage error, and a negative one exits 1
     code, _, _ = invoke(["combine", "--config", str(path)])
     assert code == 2
+    code, out, err = invoke(["combine", "--config", str(path), "--length", "-1"])
+    assert (code, out, err) == (1, b"", "twofaced combine: length must be nonnegative\n")
 
 
 def test_combine_config_errors_exit_1(tmp_path):
@@ -686,10 +688,14 @@ def test_entropy_file_source_holds_the_file_packed(tmp_path):
 _NO_TABLES_PROBE = """
 import io
 import twofaced.cli
-from twofaced.generator import _byte_steps
+import twofaced.generator as generator
+
+builds = []
+nibble_steps = generator._nibble_steps
+generator._nibble_steps = lambda s: builds.append(s) or nibble_steps(s)
 
 def built():
-    return _byte_steps.cache_info().currsize
+    return len(builds)
 
 def run(argv, stdin=b""):
     assert twofaced.cli.run(argv, io.BytesIO(stdin), io.BytesIO(), io.StringIO()) == 0
@@ -710,7 +716,9 @@ for order in range(1, 8):
 
 def test_cli_start_up_builds_no_sampler_tables():
     # the 2^17-entry tables cost start-up time, so only sampling builds them:
-    # one for every order from 8 up, and one more for each order below 8
+    # one for every order from 8 up, and one more for each order below 8.
+    # Builds are counted as calls of the nibble steps, since orders above 8
+    # add a cache entry that only masks order 8's table
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", _NO_TABLES_PROBE], env=env,

@@ -254,23 +254,23 @@ def test_step_tables_match_pins():
         assert _tables_digest(masked, np.asarray(carry, "<u2")) == want, s
     # the digest covers masked bytes, final letters, shifted letters and
     # resets; the block scan reads the last two as one array and d != 0
-    letters = np.asarray(generator._wide_steps(), "<u2")
+    masked, carry = generator._byte_steps(9)
+    letters = np.asarray(carry, "<u2")
     final = (letters >> 8).astype(np.uint8)
     resets = np.arange(1 << 17) >= 512
-    assert _tables_digest(generator._byte_steps(8)[0], final, letters,
-                          resets) == _WIDE_STEPS_DIGEST
+    assert _tables_digest(masked, final, letters, resets) == _WIDE_STEPS_DIGEST
 
 
 def test_a_wide_byte_resets_the_letter_iff_a_d_bit_is_set():
-    # at s = 8 no m feeds back within the byte, so only a step with d = 1
-    # makes its final letter forget the entering one; below 8 an m does feed
-    # back, and the entering letter can outlive such a step
-    for s in range(1, 9):
+    # from s = 8 up no m feeds back within the byte, so only a step with
+    # d = 1 makes its final letter forget the entering one; below 8 an m
+    # does feed back, and the entering letter can outlive such a step
+    for s in range(1, 10):
         carry = np.frombuffer(generator._byte_steps(s)[1], np.uint16)
         final = (carry >> 8).reshape(256, 2, 256)  # by d, entering letter, x
         forgets = final[:, 0] == final[:, 1]
         assert not forgets[0].any(), s
-        assert forgets[1:].all() == (s == 8), s
+        assert forgets[1:].all() == (s >= 8), s
 
 
 @given(st.integers(8, 3000).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, 3 * k))),
@@ -379,6 +379,8 @@ def test_entropy_staircase_exact():
     assert abs(h5 - limit_entropy(0.1)) <= 1e-12
     # beyond order + 1 the value stays at the limit entropy
     assert abs(exact_conditional_entropy(kern, 7) - limit_entropy(0.1)) <= 1e-12
+    with pytest.raises(ValueError, match="entropy order must be positive"):
+        exact_conditional_entropy(kern, 0)
 
 
 def test_closed_form_entropy_matches_chain():

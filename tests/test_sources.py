@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from reference import ReplayRealSource
 from twofaced.bitseq import BitSequence
 from twofaced.errors import SourceExhaustedError
-from twofaced.sources import (CounterBitSource, OSBitSource, ReplayBitSource,
-                              UniformRealSource, mix64)
+from twofaced.sources import (BitSource, CounterBitSource, OSBitSource,
+                              ReplayBitSource, UniformRealSource, mix64)
 from twofaced.stats import block_frequencies
 
 _M64 = (1 << 64) - 1
@@ -75,6 +75,11 @@ def test_negative_count_rejected(call):
     with pytest.raises(ValueError, match="count must be nonnegative"):
         call(-1)
     assert np.size(call(0)) == 0
+
+
+def test_bare_source_has_no_fill():
+    with pytest.raises(NotImplementedError):
+        BitSource().bits(1)
 
 
 def test_os_source_shape():
