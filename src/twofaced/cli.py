@@ -9,8 +9,14 @@ packed, or hex.
 
 Every stochastic command requires an explicit entropy flag (`--seed`,
 `--os-entropy`, or `--entropy-file`); there is no silent
-nondeterminism.  Exit codes: 0 success, 2 usage error, 1 runtime error.
-A warning that a command raises prints as a `twofaced <cmd>: warning:` line.
+nondeterminism.  Exit codes: 0 success, 2 usage error, 1 runtime error;
+a stdout whose reader has gone is a runtime error too.  A warning that a
+command raises prints as a `twofaced <cmd>: warning:` line.
+
+A CLI process (`main`) flushes its output and then ends with `os._exit`,
+skipping the interpreter's teardown, so `atexit` handlers and subprocess
+coverage hooks do not run in it.  `run` called in-process returns its
+code as before.
 """
 from __future__ import annotations
 
@@ -136,8 +142,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_all(stdout, data: bytes) -> None:
+    """Write all of data.  An unbuffered stdout (`python -u`) is a raw
+    stream, whose write may take only part, as when its reader goes."""
+    view = memoryview(data)
+    while view:
+        view = view[stdout.write(view):]
+
+
 def _write_output(stdout, seq: BitSequence, fmt: str) -> None:
-    stdout.write(encode_stream(seq, fmt))
+    _write_all(stdout, encode_stream(seq, fmt))
     if fmt != "packed":
         stdout.write(b"\n")
 
@@ -216,7 +230,7 @@ def _cmd_analyze(args, parser, stdin, stdout) -> None:
         text = stats_mod.report_csv(results)
     else:
         text = stats_mod.report_text(results, args.alpha)
-    stdout.write(text.encode("ascii"))
+    _write_all(stdout, text.encode("ascii"))
 
 
 def _cmd_expand(args, parser, stdin, stdout) -> None:
@@ -231,31 +245,50 @@ def _cmd_expand(args, parser, stdin, stdout) -> None:
 
 def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     """Parse and execute one command over binary byte streams; all output,
-    argparse's help and usage errors too, goes to the streams given."""
+    argparse's help and usage errors too, goes to the streams given.  The
+    stdout given is flushed after the command, `--help` or a usage error, so
+    a reader that has gone fails here, as a runtime error."""
     stdin = stdin if stdin is not None else sys.stdin.buffer
     stdout = stdout if stdout is not None else sys.stdout.buffer
     stderr = stderr if stderr is not None else sys.stderr
+    prefix = "twofaced:"  # until the command is parsed
     with (contextlib.redirect_stdout(codecs.getwriter("utf-8")(stdout)),
           contextlib.redirect_stderr(stderr), warnings.catch_warnings()):
         try:
-            args = build_parser().parse_args(argv)
-            prefix = f"twofaced {args.command}:"
-            warnings.showwarning = lambda msg, *_: print(prefix, "warning:", msg, file=stderr)
             try:
+                args = build_parser().parse_args(argv)
+                prefix = f"twofaced {args.command}:"
+                warnings.showwarning = lambda msg, *_: print(prefix, "warning:", msg,
+                                                             file=stderr)
                 args.handler(args, args.parser, stdin, stdout)
-            except (ValueError, CapacityError, SourceExhaustedError, OSError) as exc:
-                print(prefix, exc, file=stderr)
-                return 1
-            except MemoryError as exc:  # e.g. numpy refusing a huge --length
-                print(prefix, str(exc) or "out of memory", file=stderr)
-                return 1
-        except SystemExit as exc:  # usage errors and --help, from argparse or parser.error
-            return int(exc.code or 0)
-    return 0
+                code = 0
+            except SystemExit as exc:  # usage errors and --help, from argparse or parser.error
+                code = int(exc.code or 0)
+            stdout.flush()
+        except (ValueError, CapacityError, SourceExhaustedError, OSError) as exc:
+            print(prefix, exc, file=stderr)
+            return 1
+        except MemoryError as exc:  # e.g. numpy refusing a huge --length
+            print(prefix, str(exc) or "out of memory", file=stderr)
+            return 1
+    return code
 
 
 def main() -> None:
-    sys.exit(run())
+    """Run one command, flush the standard streams and end the process with
+    `os._exit`: the interpreter's teardown would only collect and unload
+    what the finished command leaves behind.  A standard stream that
+    cannot be written or flushed gives exit 1."""
+    try:
+        code = run()
+    except OSError:  # run's one line could not reach stderr
+        code = 1
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            code = 1
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -599,6 +599,127 @@ def test_huge_length_memory_error_is_runtime_error():
     assert "Traceback" not in err
 
 
+# output that fits a stdout buffer, and the prefix of its runtime errors
+_SMALL_OUTPUTS = [
+    (["gen", "--order", "8", "--pi", "0.2", "--length", "100", "--seed", "9"],
+     "twofaced gen:"),
+    (["--help"], "twofaced:"),
+]
+
+
+class _GoneReader(io.RawIOBase):
+    """A raw stream whose reader has gone: every write fails as a pipe's would."""
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv, prefix", _SMALL_OUTPUTS)
+def test_run_flushes_the_stdout_given_and_a_failed_flush_is_runtime_error(argv, prefix):
+    out = io.BufferedWriter(io.BytesIO(), buffer_size=1 << 20)
+    assert run(argv, stdout=out) == 0
+    assert out.raw.getvalue() == invoke(argv)[1] != b""
+    err = io.StringIO()
+    assert run(argv, stdout=io.BufferedWriter(_GoneReader()), stderr=err) == 1
+    assert err.getvalue() == f"{prefix} [Errno 32] Broken pipe\n"
+
+
+def _cli_env(unbuffered=False):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def _cli_into_gone_reader(argv, stream):
+    """Run the CLI with `stream` ("stdout" or "stderr") on a pipe whose read
+    end is closed before the child starts."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: write_end}
+    try:
+        return subprocess.run([sys.executable, "-m", "twofaced.cli"] + argv,
+                              stdin=subprocess.DEVNULL, env=_cli_env(), timeout=120,
+                              **pipes)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("argv, prefix", _SMALL_OUTPUTS)
+def test_closed_stdout_exits_1_with_one_line(argv, prefix):
+    # only the final flush meets the gone reader; Python's own teardown
+    # flush exited 120 with an `Exception ignored` report
+    proc = _cli_into_gone_reader(argv, "stdout")
+    err = proc.stderr.decode()
+    assert proc.returncode == 1, err
+    assert "Exception ignored" not in err and "Traceback" not in err
+    assert err == f"{prefix} [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_reader_gone_mid_write_exits_1(unbuffered):
+    # the 1.25 MB stream overfills the pipe, so the reader leaves during the
+    # write; an unbuffered stdout's raw write then returned the part taken,
+    # and the rest was dropped with exit 0
+    with subprocess.Popen([sys.executable, "-m", "twofaced.cli", "gen", "--order", "8",
+                           "--pi", "0.2", "--seed", "9", "--length", "10000000",
+                           "--format", "packed"],
+                          stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=_cli_env(unbuffered)) as proc:
+        assert proc.stdout.read(1)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (1, b"twofaced gen: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("argv", [["gen", "--order", "8"], ["analyze", "--max-block", "99"]],
+                         ids=["usage-error", "runtime-error"])
+def test_closed_stderr_exits_1(argv):
+    # the diagnostic cannot be written; this too exited 120
+    proc = _cli_into_gone_reader(argv, "stderr")
+    assert (proc.returncode, proc.stdout) == (1, b"")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_cli_process_stdout_is_complete_at_exit(unbuffered):
+    # the process ends with os._exit, after which nothing flushes
+    argv = ["gen", "--order", "8", "--pi", "0.2", "--length", "1000000", "--seed", "9",
+            "--format", "packed"]
+    proc = subprocess.run([sys.executable, "-m", "twofaced.cli"] + argv,
+                          stdin=subprocess.DEVNULL, capture_output=True,
+                          env=_cli_env(unbuffered), timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    code, out, _ = invoke(argv)
+    assert code == 0 and len(out) == 125_000
+    assert hashlib.sha256(proc.stdout).hexdigest() == hashlib.sha256(out).hexdigest()
+
+
+_MAIN_PROBE = """
+import atexit, sys
+from twofaced.cli import main
+atexit.register(print, "teardown", file=sys.stderr)
+main()
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["analyze", "--max-block", "99"], 1),
+    (["gen", "--order", "8"], 2),
+])
+def test_main_exits_with_runs_code_and_skips_teardown(argv, code):
+    proc = subprocess.run([sys.executable, "-c", _MAIN_PROBE] + argv,
+                          stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                          env=_cli_env(), timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert "teardown" not in proc.stderr
+    assert bool(proc.stdout) == (code == 0)
+
+
 _NO_SCIPY_PROBE = """
 import io, sys
 import twofaced.cli
