@@ -21,21 +21,16 @@ FORMATS = ("ascii01", "packed", "hex")
 def as_bit_array(bits) -> np.ndarray:
     """Normalize bit-like input to a 1-D uint8 array of 0/1 values.
 
-    Accepts a BitSequence, an ascii string of 0/1, a numpy array, bytes,
-    or any iterable of integers.  Values that are not exactly 0 or 1
-    (e.g. 0.6, or 256, which would wrap to 0 as uint8) raise ValueError.
-    A uint8 array, BitSequence or bytes comes back uncopied: read, never write.
+    Accepts a BitSequence, an ascii string of 0/1, a numpy array, or any
+    iterable of integers, bytes too.  Values not exactly 0 or 1 (e.g. 0.6,
+    or 256, which would wrap to 0 as uint8) raise ValueError.  A uint8 array
+    or BitSequence comes back uncopied (read, never write); bytes are copied.
     """
     if isinstance(bits, BitSequence):
         return bits.array
     if isinstance(bits, str):
         return _bits_from_text(bits)
-    if isinstance(bits, (bytes, bytearray)):
-        raw = np.frombuffer(bits, dtype=np.uint8)
-    elif isinstance(bits, np.ndarray):
-        raw = bits
-    else:
-        raw = np.array(list(bits))
+    raw = bits if isinstance(bits, np.ndarray) else np.array(list(bits))
     if raw.ndim != 1:
         raise ValueError("bit input must be one-dimensional")
     if raw.dtype != np.uint8 and not ((raw == 0) | (raw == 1)).all():  # NaN and inf fail

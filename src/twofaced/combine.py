@@ -16,10 +16,11 @@ Cost: each component is sampled from position 0 up to the requested
 length, not just over its own segment, because that is how the
 construction defines it.  With `default_config` the orders double up
 to about n, so about log2(n) components each emit n bits and the
-combination costs Θ(n log n).  The k-bit windows of the large-order
-components cross between integer and bit form in time linear in k, and
-from `generator._SCAN_ORDER` up the sampler steps about k outputs per round
-of numpy calls, so those components cost less per bit than the small ones.
+combination costs Θ(n log n).  A component's k-bit window crosses to
+integer form once, at `init_fixed`, in time linear in k.  From
+`generator._SCAN_ORDER` up (896 at multiples of 8, 576 otherwise) the
+sampler steps about k outputs per round of numpy calls, so those
+components cost less per bit than the small ones.
 """
 from __future__ import annotations
 

@@ -108,24 +108,20 @@ def entropy_inverse(h: float) -> float:
     return hi
 
 
-def _freq_split(pi: float, precision: int) -> tuple[int, int]:
-    """Quantize P(0)=pi onto an integer cumulative scale that fits the
-    coder's range invariant (total <= quarter range)."""
-    total = 1 << min(32, precision - 3)
-    f0 = min(max(int(round(pi * total)), 1), total - 1)
-    return f0, total
-
-
 def _coder(pi: float, precision: int) -> tuple[int, ...]:
     """Check the coder's arguments; return its model (f0, total, sh), where
     total = 1 << sh, and registers (mask, half_mask, top, second)."""
     if not 0.0 < pi < 1.0:
         raise ValueError(f"pi must lie strictly inside (0, 1), got {pi!r}")
     _check_precision(precision)
-    f0, total = _freq_split(pi, precision)
+    # P(0) = pi on an integer cumulative scale that fits the coder's range
+    # invariant: total at most a quarter of the range.
+    sh = min(32, precision - 3)
+    total = 1 << sh
+    f0 = min(max(int(round(pi * total)), 1), total - 1)
     mask = (1 << precision) - 1
     top = 1 << (precision - 1)
-    return f0, total, total.bit_length() - 1, mask, mask >> 1, top, top >> 1
+    return f0, total, sh, mask, mask >> 1, top, top >> 1
 
 
 def bernoulli_encode(x, pi: float, precision: int = DEFAULT_PRECISION) -> BitSequence:
@@ -177,13 +173,14 @@ def bernoulli_decode(code, pi: float, n: int,
     for _ in range(precision):
         point = (point << 1) | read()
     low, high = 0, mask
-    out = bytearray([1]) * n
+    arr = np.ones(n, np.uint8)
+    out = memoryview(arr)  # item writes cost less through a memoryview than numpy
     i = 0
     grouped = total >= f0 * _GROUP_RUN
     while True:
         if point == low and not operator.length_hint(ones):
             # 0 is next, and renormalising on 0s keeps point == low: all are 0.
-            out[i:] = bytes(n - i)
+            arr[i:] = 0
             break
         # Decode a run of 1s.  Within the run `high` stays put and only
         # the span shrinks, so every decision compares the span with a
@@ -229,7 +226,7 @@ def bernoulli_decode(code, pi: float, n: int,
             point = (point & top) | ((point << 1) & half_mask) | read()
             low = (low << 1) & half_mask
             high = ((high << 1) & half_mask) | top | 1
-    return BitSequence._wrap(np.frombuffer(out, dtype=np.uint8))
+    return BitSequence._wrap(arr)
 
 
 def expand(seed, config: ExpanderConfig) -> BitSequence:

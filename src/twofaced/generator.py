@@ -75,8 +75,7 @@ class GeneratorState:
 
 def init_uniform(kernel: KernelSpec, source: BitSource) -> GeneratorState:
     """Draw the initial window uniformly, consuming exactly `order` bits."""
-    window = context_to_int(source.bits(kernel.order)).to_bytes(-(-kernel.order // 8), "big")
-    return GeneratorState(kernel, np.frombuffer(window, np.uint8))
+    return init_fixed(kernel, source.bits(kernel.order))
 
 
 def init_fixed(kernel: KernelSpec, word) -> GeneratorState:

@@ -84,7 +84,7 @@ class BlockStats:
 
 def block_frequencies(seq, m: int) -> BlockStats:
     """Count all overlapping m-windows and summarize deviation from 2^-m."""
-    return _analyze(as_bit_array(seq), m, m)[0]
+    return analyze(seq, m, m)[0]
 
 
 def conditional_entropy(law: np.ndarray) -> float:
@@ -214,10 +214,7 @@ def analyze(seq, max_block: int, min_block: int = 1) -> list[BlockStats]:
     """Block statistics for every length in [min_block, max_block]."""
     if min_block < 1 or max_block < min_block:
         raise ValueError("block range must satisfy 1 <= min <= max")
-    return _analyze(as_bit_array(seq), min_block, max_block)
-
-
-def _analyze(bits: np.ndarray, min_block: int, max_block: int) -> list[BlockStats]:
+    bits = as_bit_array(seq)
     # Every length is checked, in ascending order, before any counting.
     for m in range(min_block, max_block + 1):
         _check_block_len("block length", m, bits.size)
@@ -225,7 +222,7 @@ def _analyze(bits: np.ndarray, min_block: int, max_block: int) -> list[BlockStat
         if expected < 5.0:
             warnings.warn(
                 f"block length {m}: expected count per cell is {expected:.2f} (< 5); "
-                "the chi-square approximation is unreliable", stacklevel=3)
+                "the chi-square approximation is unreliable", stacklevel=2)
     results = []
     for m, counts in zip(range(min_block, max_block + 1),
                          _block_counts(bits, min_block, max_block)):

@@ -23,7 +23,8 @@ def test_rejects_non_bits():
         BitSequence.from_ascii01("01x")
     with pytest.raises(ValueError, match="one-dimensional"):
         as_bit_array(np.zeros((2, 4), np.uint8))
-    # uint8 input skips the 0-or-1 compare, so only its max guards it
+    # a uint8 array skips the 0-or-1 compare, so only its max guards it;
+    # bytes go through the iterable path and take the compare
     for raw in (np.array([0, 2], np.uint8), b"\x01\x02"):
         with pytest.raises(ValueError, match="bits must be 0 or 1"):
             as_bit_array(raw)
@@ -124,14 +125,16 @@ def test_array_is_read_only():
 
 
 def test_owners_copy_a_shared_array():
-    # as_bit_array hands a uint8 array back as is; BitSequence copies it,
-    # leaving the caller's array writable and not following later writes
-    # to it, and ReplayBitSource copies a bytearray of packed bits.
+    # as_bit_array hands a uint8 array back as is but copies a bytearray;
+    # BitSequence copies the array, leaving the caller's array writable and
+    # not following later writes to it, and ReplayBitSource copies a
+    # bytearray of packed bits.
     arr = np.array([0, 1, 1, 0], dtype=np.uint8)
     assert as_bit_array(arr) is arr
     seq = BitSequence(arr)
     buf = bytearray([0, 1])
     from_buf = BitSequence(buf)
+    buf_bits = as_bit_array(buf)
     packed = bytearray(seq.to_packed())
     src = ReplayBitSource(packed, 4)
     assert arr.flags.writeable
@@ -141,6 +144,7 @@ def test_owners_copy_a_shared_array():
     assert seq == BitSequence("0110")
     assert src.bits(4).tolist() == [0, 1, 1, 0]
     assert from_buf == BitSequence("01")
+    assert buf_bits.tolist() == [0, 1]
 
 
 def test_unknown_format_rejected():

@@ -25,6 +25,14 @@ def invoke(argv, stdin=b""):
     return code, out.getvalue(), err.getvalue()
 
 
+def _cli_env(unbuffered=False):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 def test_transform_reference_vector():
     code, out, err = invoke(["transform", "--order", "2", "--init", "01"], b"10010")
     assert code == 0 and err == ""
@@ -545,9 +553,8 @@ def test_analyze_warnings_are_lines_on_run_stderr():
 def test_analyze_prints_one_warning_line_per_low_count_length():
     # under Python's default filters a repeated text prints once, so each
     # length's warning must name it: m = 2 ... 20 expect fewer than 5 per cell
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
-    env["PYTHONPATH"] = str(src)
+    env = _cli_env()
+    env.pop("PYTHONWARNINGS", None)
     proc = subprocess.run([sys.executable, "-m", "twofaced.cli", "analyze",
                            "--max-block", "20"], input=b"01101001101001101001",
                           env=env, capture_output=True, timeout=120)
@@ -590,13 +597,24 @@ def test_bad_stream_data_is_runtime_error():
     assert code == 1 and err != ""
 
 
-def test_huge_length_memory_error_is_runtime_error():
-    # numpy refuses generate's 909 TiB output array at once, so nothing is allocated.
-    code, out, err = invoke(["gen", "--order", "8", "--pi", "0.2", "--length",
-                             "1000000000000000", "--seed", "1"])
-    assert code == 1 and out == b""
-    assert err.startswith("twofaced gen: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+def test_huge_length_memory_error_is_runtime_error(tmp_path):
+    # numpy refuses each output array at once, so nothing is allocated; a
+    # refused bytearray repeat could print a stray `SystemError` line first
+    ladder = tmp_path / "ladder.cfg"
+    ladder.write_text(render_config(default_config(pi=0.2, seed=3, n=99999999999999)))
+    for argv in (["gen", "--order", "8", "--pi", "0.2", "--length", "1000000000000000",
+                  "--seed", "1"],
+                 ["expand", "--seed-hex", "ffff", "--order", "1", "--length",
+                  "99999999999999"],
+                 ["combine", "--config", str(ladder), "--length", "99999999999999"]):
+        proc = subprocess.run([sys.executable, "-m", "twofaced.cli"] + argv,
+                              stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                              env=_cli_env(), timeout=120)
+        for code, out, err in (invoke(argv), (proc.returncode, proc.stdout.encode(),
+                                              proc.stderr)):
+            assert code == 1 and out == b"", err
+            assert err.startswith(f"twofaced {argv[0]}: ") and err.count("\n") == 1, err
+            assert "SystemError" not in err and "Traceback" not in err
 
 
 # output that fits a stdout buffer, and the prefix of its runtime errors
@@ -625,14 +643,6 @@ def test_run_flushes_the_stdout_given_and_a_failed_flush_is_runtime_error(argv, 
     err = io.StringIO()
     assert run(argv, stdout=io.BufferedWriter(_GoneReader()), stderr=err) == 1
     assert err.getvalue() == f"{prefix} [Errno 32] Broken pipe\n"
-
-
-def _cli_env(unbuffered=False):
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    return env
 
 
 def _cli_into_gone_reader(argv, stream):
@@ -739,9 +749,7 @@ assert not scipy_modules(), scipy_modules()
 
 
 def test_cli_start_up_loads_no_scipy():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE], env=env,
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE], env=_cli_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
@@ -759,9 +767,8 @@ print(before, os.environ["OPENBLAS_NUM_THREADS"])
 def test_cli_import_asks_for_one_blas_thread_unless_the_caller_set_it(given, want):
     # a library import leaves the environment alone; the CLI's setdefault
     # keeps OpenBLAS's unused worker threads out of each start
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = str(src)
+    env = _cli_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
     if given is not None:
         env["OPENBLAS_NUM_THREADS"] = given
     proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
@@ -840,9 +847,7 @@ def test_cli_start_up_builds_no_sampler_tables():
     # one for every order from 8 up, and one more for each order below 8.
     # Builds are counted as calls of the nibble steps, since orders above 8
     # add a cache entry that only masks order 8's table
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", _NO_TABLES_PROBE], env=env,
+    proc = subprocess.run([sys.executable, "-c", _NO_TABLES_PROBE], env=_cli_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
@@ -877,10 +882,8 @@ def test_cli_start_up_loads_only_what_the_command_runs(tmp_path, argv, stdin, us
     ladder = tmp_path / "ladder.cfg"
     ladder.write_text(render_config(default_config(pi=0.2, seed=3, n=64)))
     argv = [str(ladder) if a == "LADDER" else a for a in argv]
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, json.dumps([argv, stdin])],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_cli_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     code, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from twofaced import expander
 from twofaced.bitseq import BitSequence, as_bit_array
-from twofaced.expander import (PI_FLOOR, ExpanderConfig, _freq_split,
+from twofaced.expander import (PI_FLOOR, ExpanderConfig, _coder,
                                bernoulli_decode, bernoulli_encode,
                                entropy_inverse, expand)
 from twofaced.generator import limit_entropy
@@ -272,7 +272,7 @@ class _ReferenceDecoder:
 
 
 def _reference_decode(code, pi, n, precision=expander.DEFAULT_PRECISION):
-    f0, total = _freq_split(pi, precision)
+    f0, total = _coder(pi, precision)[:2]
     dec = _ReferenceDecoder(precision, as_bit_array(code))
     return BitSequence([dec.decode(f0, total) for _ in range(n)])
 

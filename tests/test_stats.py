@@ -145,7 +145,7 @@ def test_block_frequencies_caps_and_errors():
     seq = BitSequence(np.zeros(100, np.uint8))
     with pytest.raises(CapacityError):
         block_frequencies(seq, 25)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"block range must satisfy 1 <= min <= max"):
         block_frequencies(seq, 0)
     with pytest.raises(ValueError):
         block_frequencies(BitSequence("01"), 3)
