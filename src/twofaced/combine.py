@@ -25,8 +25,7 @@ components cost less per bit than the small ones.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,42 +36,38 @@ from .kernels import KernelSpec, Variant
 from .sources import CounterBitSource, UniformRealSource, mix64
 
 
-@dataclass(frozen=True)
-class CutSequence:
+class CutSequence(NamedTuple("CutSequence", [("cuts", tuple[int, ...])])):
     """Strictly increasing positive cut positions n_1 < n_2 < ..."""
 
-    cuts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, cuts: tuple[int, ...]):
         try:
-            cuts = tuple(operator.index(c) for c in self.cuts)
+            ints = tuple(operator.index(c) for c in cuts)
         except TypeError:
-            raise ValueError(f"cuts must be integers, got {self.cuts!r}") from None
-        if any(c < 1 for c in cuts):
+            raise ValueError(f"cuts must be integers, got {cuts!r}") from None
+        if any(c < 1 for c in ints):
             raise ValueError("cuts must be positive")
-        if any(b <= a for a, b in zip(cuts, cuts[1:])):
+        if any(b <= a for a, b in zip(ints, ints[1:])):
             raise ValueError("cuts must be strictly increasing")
-        object.__setattr__(self, "cuts", cuts)
+        return super().__new__(cls, ints)
 
     def segment_starts(self, n: int) -> list[int]:
         """0-based start position of each component active within length n."""
         return [0] + [c for c in self.cuts if c < n]
 
 
-@dataclass(frozen=True)
-class ComponentSpec:
+class ComponentSpec(NamedTuple("ComponentSpec", [("kernel", KernelSpec), ("seed", int)])):
     """One component stream: its kernel and its own seed."""
 
-    kernel: KernelSpec
-    seed: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, kernel: KernelSpec, seed: int):
         # Reject a bad seed here, not when first built, and keep it as an int.
-        object.__setattr__(self, "seed", CounterBitSource(self.seed).seed)
+        return super().__new__(cls, kernel, CounterBitSource(seed).seed)
 
 
-@dataclass(frozen=True)
-class TwiceTwoFacedConfig:
+class TwiceTwoFacedConfig(NamedTuple):
     cuts: CutSequence
     components: tuple[ComponentSpec, ...]
 

@@ -33,8 +33,8 @@ below `_GROUP_RUN`) the groups are not tried.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,26 +51,26 @@ ENTROPY_TOL = 1e-12  # |H(pi) - h| at which entropy_inverse stops
 _GROUP_RUN = 256
 
 
-@dataclass(frozen=True)
-class ExpanderConfig:
+class ExpanderConfig(NamedTuple("ExpanderConfig",
+                                 [("order", int), ("target_len", int), ("precision", int)])):
     """Expansion parameters: output order, target length, coder width."""
 
-    order: int
-    target_len: int
-    precision: int = DEFAULT_PRECISION
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("order", "target_len", "precision"):
-            value = getattr(self, name)
+    def __new__(cls, order: int, target_len: int, precision: int = DEFAULT_PRECISION):
+        values = []
+        for name, value in zip(cls._fields, (order, target_len, precision)):
             try:
-                object.__setattr__(self, name, operator.index(value))
+                values.append(operator.index(value))
             except TypeError:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
-        if self.order < 1:
+        order, target_len, precision = values
+        if order < 1:
             raise ValueError("order must be positive")
-        if self.target_len < 1:
+        if target_len < 1:
             raise ValueError("target length must be positive")
-        _check_precision(self.precision)
+        _check_precision(precision)
+        return super().__new__(cls, order, target_len, precision)
 
 
 def _check_precision(precision: int) -> None:

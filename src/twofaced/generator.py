@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -58,7 +57,6 @@ _PASS_DRAWS = 1 << 15
 _SCAN_ORDER = (896, 576)
 
 
-@dataclass(eq=False)
 class GeneratorState:
     """A kernel plus the sliding window of the last `order` emitted bits,
     held as the ceil(order / 8) uint8 bytes that a pass's history starts
@@ -66,8 +64,11 @@ class GeneratorState:
     and sequential: the Markov dependence forbids parallel emission within
     one stream."""
 
-    kernel: KernelSpec
-    window: np.ndarray
+    __slots__ = ("kernel", "window")
+
+    def __init__(self, kernel: KernelSpec, window: np.ndarray):
+        self.kernel = kernel
+        self.window = window
 
     def context_bits(self) -> tuple[int, ...]:
         return int_to_context(int.from_bytes(self.window, "big"), self.kernel.order)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,28 +40,25 @@ class Variant(enum.Enum):
     BAR = "bar"
 
 
-@dataclass(frozen=True)
-class KernelSpec:
+class KernelSpec(NamedTuple("KernelSpec", [("variant", Variant), ("order", int), ("pi", float)])):
     """An order-k kernel: variant, order, and transition parameter pi.
 
     pi = 0.5 yields the fair-coin process.  pi must lie in [PI_FLOOR,
     1 - PI_FLOOR], as the sampler's draws resolve it only to 2^-53.
     """
 
-    variant: Variant
-    order: int
-    pi: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, variant: Variant, order: int, pi: float):
         try:
-            order = operator.index(self.order)
+            index = operator.index(order)
         except TypeError:
-            order = None
-        if order is None or order < 1:
-            raise ValueError(f"order must be a positive integer, got {self.order!r}")
-        object.__setattr__(self, "order", order)
-        if not PI_FLOOR <= self.pi <= 1.0 - PI_FLOOR:
-            raise ValueError(f"pi must lie in [{PI_FLOOR:g}, 1 - {PI_FLOOR:g}], got {self.pi!r}")
+            index = None
+        if index is None or index < 1:
+            raise ValueError(f"order must be a positive integer, got {order!r}")
+        if not PI_FLOOR <= pi <= 1.0 - PI_FLOOR:
+            raise ValueError(f"pi must lie in [{PI_FLOOR:g}, 1 - {PI_FLOOR:g}], got {pi!r}")
+        return super().__new__(cls, variant, index, pi)
 
 
 def as_context(context, order: int) -> np.ndarray:
@@ -112,8 +109,7 @@ def cond_prob(spec: KernelSpec, next_bit: int, context) -> float:
     return spec.pi if next_bit == pi_letter(spec.variant, window) else 1.0 - spec.pi
 
 
-@dataclass(frozen=True)
-class KernelTable:
+class KernelTable(NamedTuple):
     """Materialized conditional probabilities: entry u of `p0` and `p1` is
     P(0|u) and P(1|u), the context read as a big-endian integer
     (`context_to_int`); every entry is pi or 1 - pi."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,12 +66,11 @@ def _block_counts(bits: np.ndarray, lo: int, hi: int) -> list[np.ndarray]:
     return out[::-1]
 
 
-@dataclass(frozen=True)
-class BlockStats:
+class BlockStats(NamedTuple):
     """Frequency table of all m-words with its uniformity summaries."""
 
     block_len: int
-    counts: np.ndarray = field(repr=False)
+    counts: np.ndarray
     windows: int
     max_abs_deviation: float
     chi_square: float

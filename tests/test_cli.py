@@ -857,7 +857,8 @@ import io, json, sys
 import twofaced.cli
 argv, stdin = json.loads(sys.argv[1])
 code = twofaced.cli.run(argv, io.BytesIO(stdin.encode()), io.BytesIO(), io.StringIO())
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("twofaced."))]))
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.startswith("twofaced.") or m == "dataclasses")]))
 """
 
 _LAZY = {"twofaced.combine", "twofaced.sources", "twofaced.stats"}
@@ -888,3 +889,4 @@ def test_cli_start_up_loads_only_what_the_command_runs(tmp_path, argv, stdin, us
     code, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0
     assert _LAZY & set(loaded) == used, loaded
+    assert "dataclasses" not in loaded  # the records are NamedTuples

@@ -8,10 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reference import StateDistribution, cond_prob_recursive
+from twofaced.combine import ComponentSpec, CutSequence, TwiceTwoFacedConfig
 from twofaced.errors import CapacityError
+from twofaced.expander import ExpanderConfig
 from twofaced.generator import init_fixed
-from twofaced.kernels import (PI_FLOOR, KernelSpec, Variant, as_context, cond_prob,
-                              context_to_int, int_to_context, kernel_table)
+from twofaced.kernels import (PI_FLOOR, KernelSpec, KernelTable, Variant, as_context,
+                              cond_prob, context_to_int, int_to_context, kernel_table)
+from twofaced.stats import BlockStats
 
 pis = st.floats(min_value=1e-6, max_value=1.0 - 1e-6,
                 allow_nan=False, allow_infinity=False)
@@ -197,9 +200,34 @@ def test_kernel_spec_accepts_integral_orders():
     spec = KernelSpec(Variant.PLAIN, np.int64(8), 0.2)
     assert spec.order == 8 and type(spec.order) is int
     assert spec == KernelSpec(Variant.PLAIN, 8, 0.2)
+    assert hash(spec) == hash(KernelSpec(Variant.PLAIN, 8, 0.2))
     for bad in (8.0, "8", np.float64(8.0)):
         with pytest.raises(ValueError):
             KernelSpec(Variant.PLAIN, bad, 0.2)
+
+
+_RECORDS = [
+    (KernelSpec, dict(variant=Variant.BAR, order=3, pi=0.2), {}),
+    (KernelTable, dict(p0=np.array([0.2, 0.8]), p1=np.array([0.8, 0.2])), {}),
+    (BlockStats, dict(block_len=1, counts=np.array([3, 2]), windows=5,
+                      max_abs_deviation=0.1, chi_square=0.2, df=1), {}),
+    (ExpanderConfig, dict(order=4, target_len=64), dict(precision=62)),
+    (CutSequence, dict(cuts=(2, 4)), {}),
+    (ComponentSpec, dict(kernel=KernelSpec(Variant.PLAIN, 2, 0.3), seed=5), {}),
+    (TwiceTwoFacedConfig, dict(cuts=CutSequence((2,)), components=()), {}),
+]
+
+
+@pytest.mark.parametrize("record, fields, defaults", _RECORDS,
+                         ids=[record.__name__ for record, _, _ in _RECORDS])
+def test_records_take_keywords_and_refuse_assignment(record, fields, defaults):
+    value = record(**fields)
+    assert value._asdict() == {**fields, **defaults}
+    for name in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+    with pytest.raises(AttributeError):
+        value.extra = None  # no instance dict
 
 
 def _int_by_definition(bits):
