@@ -36,8 +36,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # module globals, looked up here at call time (bench/tracer.py wraps them).
 from .bitseq import FORMATS, BitSequence, decode_stream, encode_stream
 from .errors import CapacityError, SourceExhaustedError
-from .expander import DEFAULT_PRECISION, ExpanderConfig, expand
-from .generator import generate, init_fixed, init_uniform
+from .expander import ExpanderConfig, expand
+from .generator import generate, init_uniform
 from .kernels import KernelSpec, Variant
 from .transform import inverse_transform, transform
 
@@ -86,8 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi", type=float, required=True)
     p.add_argument("--variant", choices=["plain", "bar"], default="plain")
     p.add_argument("--length", type=int, required=True)
-    p.add_argument("--init", metavar="BITS", default=None,
-                   help="fixed initial window (default: drawn uniformly)")
     _add_entropy_flags(p)
     _add_format(p)
 
@@ -123,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
 
     p = command("analyze", _cmd_analyze, "block-frequency report for stdin")
-    p.add_argument("--min-block", type=int, default=1)
     p.add_argument("--max-block", type=int, required=True)
     p.add_argument("--alpha", type=float, default=1e-4,
                    help="rejection threshold for the text report")
@@ -136,8 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     seed.add_argument("--seed-file", metavar="PATH", help="seed bits, packed file")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--length", type=int, required=True)
-    p.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
-                   help="coder register width in bits, in [16, 62] (default %(default)s)")
     _add_format(p)
     return parser
 
@@ -156,22 +151,18 @@ def _write_output(stdout, seq: BitSequence, fmt: str) -> None:
         stdout.write(b"\n")
 
 
-def _kernel_stream(args, parser, init=None):
+def _kernel_stream(args, parser):
     """Check the kernel flags, open the entropy source and draw the initial
-    window; return the step that samples the next n bits."""
+    window uniformly; return the step that samples the next n bits."""
     from .sources import UniformRealSource
     kernel = KernelSpec(Variant(args.variant or "plain"), args.order, args.pi)
     source = _entropy_source(args, parser)
-    if init is not None:
-        state = init_fixed(kernel, init)
-    else:
-        state = init_uniform(kernel, source)
+    state = init_uniform(kernel, source)
     return lambda n: generate(state, n, UniformRealSource(source))
 
 
 def _cmd_gen(args, parser, stdin, stdout) -> None:
-    _write_output(stdout, _kernel_stream(args, parser, args.init)(args.length),
-                  args.format)
+    _write_output(stdout, _kernel_stream(args, parser)(args.length), args.format)
 
 
 def _cmd_transform(args, parser, stdin, stdout) -> None:
@@ -221,11 +212,11 @@ def _cmd_whiten(args, parser, stdin, stdout) -> None:
 
 def _cmd_analyze(args, parser, stdin, stdout) -> None:
     from . import stats as stats_mod
-    stats_mod.check_block_range(args.max_block, args.min_block)
+    stats_mod.check_block_range(args.max_block)
     if not 0.0 <= args.alpha <= 1.0:  # NaN fails too
         parser.error(f"--alpha must lie in [0, 1], got {args.alpha}")
     seq = decode_stream(stdin.read(), args.format)
-    results = stats_mod.analyze(seq, args.max_block, args.min_block)
+    results = stats_mod.analyze(seq, args.max_block)
     if args.csv:
         text = stats_mod.report_csv(results)
     else:
@@ -239,7 +230,7 @@ def _cmd_expand(args, parser, stdin, stdout) -> None:
     else:
         with open(args.seed_file, "rb") as fh:
             seed = BitSequence.from_packed(fh.read())
-    config = ExpanderConfig(args.order, args.length, args.precision)
+    config = ExpanderConfig(args.order, args.length)
     _write_output(stdout, expand(seed, config), args.format)
 
 
@@ -256,7 +247,9 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
           contextlib.redirect_stderr(stderr), warnings.catch_warnings()):
         try:
             try:
-                args = build_parser().parse_args(argv)
+                args, extra = build_parser().parse_known_args(argv)
+                if extra:  # with the subcommand's usage, not the top level's
+                    args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
                 prefix = f"twofaced {args.command}:"
                 warnings.showwarning = lambda msg, *_: print(prefix, "warning:", msg,
                                                              file=stderr)

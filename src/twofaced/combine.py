@@ -40,6 +40,7 @@ class CutSequence(NamedTuple("CutSequence", [("cuts", tuple[int, ...])])):
     """Strictly increasing positive cut positions n_1 < n_2 < ..."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # else _make and _replace skip __new__
 
     def __new__(cls, cuts: tuple[int, ...]):
         try:
@@ -61,6 +62,7 @@ class ComponentSpec(NamedTuple("ComponentSpec", [("kernel", KernelSpec), ("seed"
     """One component stream: its kernel and its own seed."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # else _make and _replace skip __new__
 
     def __new__(cls, kernel: KernelSpec, seed: int):
         # Reject a bad seed here, not when first built, and keep it as an int.

@@ -56,6 +56,7 @@ class ExpanderConfig(NamedTuple("ExpanderConfig",
     """Expansion parameters: output order, target length, coder width."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # else _make and _replace skip __new__
 
     def __new__(cls, order: int, target_len: int, precision: int = DEFAULT_PRECISION):
         values = []

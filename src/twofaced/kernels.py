@@ -48,6 +48,7 @@ class KernelSpec(NamedTuple("KernelSpec", [("variant", Variant), ("order", int),
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # else _make and _replace skip __new__
 
     def __new__(cls, variant: Variant, order: int, pi: float):
         try:

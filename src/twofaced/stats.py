@@ -60,7 +60,7 @@ def _block_counts(bits: np.ndarray, lo: int, hi: int) -> list[np.ndarray]:
     tail = int(_window_values(bits[bits.size - hi:], hi)[0])  # low m bits: last m-window
     out = [h]
     for m in range(hi - 1, lo - 1, -1):
-        h = h.reshape(-1, 2).sum(axis=1)
+        h = h[0::2] + h[1::2]
         h[tail & ((1 << m) - 1)] += 1
         out.append(h)
     return out[::-1]
@@ -91,7 +91,7 @@ def conditional_entropy(law: np.ndarray) -> float:
     where ctx sums the two continuations of each (m-1)-bit context and
     0 log 0 is 0.  For a law this is the order-m conditional entropy in
     bits per letter; for counts, divide by their total."""
-    ctx = law.reshape(-1, 2).sum(axis=1)
+    ctx = law[0::2] + law[1::2]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = law / np.repeat(ctx, 2)
         terms = np.where(law > 0.0, law * np.log2(ratio), 0.0)
@@ -108,7 +108,7 @@ def empirical_conditional_entropy(seq, m: int) -> float:
     bits = as_bit_array(seq)
     _check_block_len("entropy order", m, bits.size)
     counts = _block_counts(bits, m, m)[0].astype(np.float64)
-    ctx = counts.reshape(-1, 2).sum(axis=1)
+    ctx = counts[0::2] + counts[1::2]
     missing = int(np.count_nonzero(ctx == 0))
     if missing:
         warnings.warn(
@@ -200,13 +200,12 @@ def chi_square_pvalue(statistic: float, df: int) -> float:
     return _gammaincc(df / 2.0, statistic / 2.0)
 
 
-def check_block_range(max_block: int, min_block: int = 1) -> None:
-    """The checks of `analyze` that need no input: 1 <= min <= max, and the
-    first length over BLOCK_LEN_CAP, if any."""
-    if min_block < 1 or max_block < min_block:
+def check_block_range(max_block: int) -> None:
+    """The checks of `analyze(seq, max_block)` that need no input."""
+    if max_block < 1:
         raise ValueError("block range must satisfy 1 <= min <= max")
     if max_block > BLOCK_LEN_CAP:
-        _check_block_len("block length", max(min_block, BLOCK_LEN_CAP + 1), max_block)
+        _check_block_len("block length", BLOCK_LEN_CAP + 1, max_block)
 
 
 def analyze(seq, max_block: int, min_block: int = 1) -> list[BlockStats]:

@@ -1,7 +1,9 @@
+import argparse
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +16,7 @@ from twofaced.bitseq import BitSequence, decode_stream
 from twofaced.cli import _entropy_source, build_parser, run
 from twofaced.combine import default_config, render_config
 from twofaced.expander import ExpanderConfig, expand
-from twofaced.generator import generate, init_fixed, init_uniform
+from twofaced.generator import generate, init_uniform
 from twofaced.kernels import KernelSpec, Variant
 from twofaced.sources import CounterBitSource, ReplayBitSource, UniformRealSource
 
@@ -88,28 +90,22 @@ def test_gen_seed_flag_parses_as_before():
     assert invoke(argv + ["+5"]) == invoke(argv + ["5"])
 
 
-def test_gen_fixed_init_and_entropy_file(tmp_path):
+def test_gen_entropy_file_replays_window_and_draws(tmp_path):
     entropy = BitSequence(CounterBitSource(1).bits(64 * 53))
     path = tmp_path / "bits.bin"
     path.write_bytes(entropy.to_packed())
-    argv = ["gen", "--order", "2", "--pi", "0.3", "--length", "8", "--init", "01",
+    argv = ["gen", "--order", "2", "--pi", "0.3", "--length", "8",
             "--entropy-file", str(path)]
     code, out, err = invoke(argv)
-    want = generate(init_fixed(KernelSpec(Variant.PLAIN, 2, 0.3), "01"), 8,
-                    UniformRealSource(ReplayBitSource(entropy.to_packed(), len(entropy))))
+    replay = ReplayBitSource(entropy.to_packed(), len(entropy))
+    want = generate(init_uniform(KernelSpec(Variant.PLAIN, 2, 0.3), replay), 8,
+                    UniformRealSource(replay))
     assert (code, err) == (0, "")
     assert decode_stream(out, "ascii01") == want
-    # eight draws take 424 bits; a file of 52 bytes holds 416
-    path.write_bytes(entropy.to_packed()[:52])
+    # the window takes 2 bits first and eight draws 424; 53 bytes hold 424
+    path.write_bytes(entropy.to_packed()[:53])
     assert invoke(argv) == (
-        1, b"", "twofaced gen: requested 424 bits but only 416 remain\n")
-
-
-def test_gen_init_of_wrong_length_exits_1():
-    code, out, err = invoke(["gen", "--order", "2", "--pi", "0.3", "--length", "8",
-                             "--init", "111", "--seed", "1"])
-    assert (code, out) == (1, b"")
-    assert err == "twofaced gen: context length 3 does not match order 2\n"
+        1, b"", "twofaced gen: requested 424 bits but only 422 remain\n")
 
 
 def test_gen_os_entropy_runs():
@@ -268,13 +264,18 @@ def test_expand_runtime_error_exit_code():
     assert code == 1 and err != ""
 
 
-def test_expand_precision_out_of_range_exit_code():
-    seed_hex = BitSequence(CounterBitSource(21).bits(128)).to_hex()
-    for precision in ("15", "63"):
-        code, out, err = invoke(["expand", "--seed-hex", seed_hex, "--order", "16",
-                                 "--length", "512", "--precision", precision])
-        assert code == 1 and out == b""
-        assert err.count("\n") == 1 and err.startswith("twofaced expand: ")
+def test_removed_options_are_usage_errors():
+    # gen --init, analyze --min-block and expand --precision are library-only
+    for argv in (["gen", "--order", "2", "--pi", "0.3", "--length", "8", "--seed", "1",
+                  "--init", "01"],
+                 ["analyze", "--max-block", "2", "--min-block", "2"],
+                 ["expand", "--seed-hex", "ff", "--order", "16", "--length", "512",
+                  "--precision", "62"]):
+        code, out, err = invoke(argv, b"0110")
+        assert (code, out) == (2, b""), argv
+        assert err.count("usage: ") == 1 and err.startswith(f"usage: twofaced {argv[0]} ")
+        assert err.endswith(f"twofaced {argv[0]}: error: unrecognized arguments: "
+                            f"{' '.join(argv[-2:])}\n")
 
 
 # sha256 of stdout for each BAR command, computed before the variant rule
@@ -445,11 +446,7 @@ def test_analyze_and_combine_fail_before_reading_stdin(tmp_path):
     missing = tmp_path / "missing.bin"
     for argv, message in (
             (["analyze", "--max-block", "30"], "block length 25 exceeds table cap 24"),
-            (["analyze", "--max-block", "30", "--min-block", "26"],
-             "block length 26 exceeds table cap 24"),
             (["analyze", "--max-block", "0"], "block range must satisfy 1 <= min <= max"),
-            (["analyze", "--max-block", "3", "--min-block", "4"],
-             "block range must satisfy 1 <= min <= max"),
             (["combine", "--xor-with", str(missing)],
              f"[Errno 2] No such file or directory: {str(missing)!r}"),
             (["transform", "--init", ""], "initial word must contain at least one bit")):
@@ -518,9 +515,7 @@ def test_analyze_bad_block_length_is_one_line_runtime_error():
     stream = b"0110" * 5
     for argv, message in (
             (["--max-block", "21"], "block length 21 exceeds sequence length 20"),
-            (["--max-block", "25"], "block length 25 exceeds table cap 24"),
-            (["--max-block", "25", "--min-block", "25"],
-             "block length 25 exceeds table cap 24")):
+            (["--max-block", "25"], "block length 25 exceeds table cap 24")):
         with warnings.catch_warnings():  # low expected counts below the bad length
             warnings.simplefilter("ignore")
             code, out, err = invoke(["analyze"] + argv, stream)
@@ -579,6 +574,23 @@ def test_help_goes_to_the_stdout_given():
     assert run(["--help"], stdout=out) == 0
     assert out.getvalue().startswith(b"usage: twofaced [-h] ")
     assert out.getvalue() == build_parser().format_help().encode()
+
+
+def test_each_command_help_renders_and_readme_names_every_option():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    assert list(subparsers) == ["gen", "transform", "combine", "whiten", "analyze",
+                                "expand"]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    for name, sub in subparsers.items():
+        code, out, err = invoke([name, "--help"])
+        assert (code, err) == (0, ""), name
+        assert out == sub.format_help().encode(), name  # %(default)s and all
+        for action in sub._actions:
+            for option in action.option_strings:
+                assert re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", section), \
+                    (name, option)
 
 
 def test_unknown_flag_exits_2():

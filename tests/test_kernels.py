@@ -230,6 +230,31 @@ def test_records_take_keywords_and_refuse_assignment(record, fields, defaults):
         value.extra = None  # no instance dict
 
 
+# A checking record's fields as numpy ints, one field that its constructor
+# refuses with the message, and the fields that it keeps as ints.
+_CHECKED_RECORDS = [
+    (KernelSpec, (Variant.PLAIN, np.int64(8), 0.2), dict(pi=2.0),
+     "pi must lie in [1e-09, 1 - 1e-09], got 2.0", lambda r: [r.order]),
+    (ExpanderConfig, (np.int64(4), np.int64(64), np.int64(32)), dict(precision=63),
+     "precision must lie in [16, 62]", lambda r: list(r)),
+    (CutSequence, ((np.int64(1), np.int64(2)),), dict(cuts=(5, 1)),
+     "cuts must be strictly increasing", lambda r: list(r.cuts)),
+    (ComponentSpec, (KernelSpec(Variant.PLAIN, 2, 0.3), np.int64(5)), dict(seed=-1),
+     "seed must lie in [0, 2^64), got -1", lambda r: [r.seed]),
+]
+
+
+@pytest.mark.parametrize("record, fields, bad, message, ints", _CHECKED_RECORDS,
+                         ids=[record.__name__ for record, *_ in _CHECKED_RECORDS])
+def test_checking_records_check_make_and_replace(record, fields, bad, message, ints):
+    # _make, and _replace through it, build by the constructor, checks and all
+    value = record._make(fields)
+    assert value == record(*fields) and type(value) is record
+    assert all(type(i) is int for i in ints(value))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        value._replace(**bad)
+
+
 def _int_by_definition(bits):
     value = 0
     for b in bits:
