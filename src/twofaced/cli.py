@@ -35,7 +35,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # are imported inside the commands that use them.  The names below stay
 # module globals, looked up here at call time (bench/tracer.py wraps them).
 from .bitseq import FORMATS, BitSequence, decode_stream, encode_stream
-from .errors import CapacityError, SourceExhaustedError
+from .errors import SourceExhaustedError
 from .expander import ExpanderConfig, expand
 from .generator import generate, init_uniform
 from .kernels import KernelSpec, Variant
@@ -81,19 +81,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler, parser=p)  # later usage errors name the subcommand
         return p
 
+    variants = ["plain", "bar"]
     p = command("gen", _cmd_gen, "emit a kernel-distributed stream")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--pi", type=float, required=True)
-    p.add_argument("--variant", choices=["plain", "bar"], default="plain")
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--order", type=int, required=True, help="kernel order, at least 1")
+    p.add_argument("--pi", type=float, required=True, help="in [1e-09, 1 - 1e-09]")
+    p.add_argument("--variant", choices=variants, default="plain", help="default plain")
+    p.add_argument("--length", type=int, required=True, help="bits to emit, at least 0")
     _add_entropy_flags(p)
     _add_format(p)
 
     p = command("transform", _cmd_transform, "apply the conversion to stdin")
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=int, default=None, help="must equal the length of --init")
     p.add_argument("--init", metavar="BITS", required=True,
-                   help="initial window of length order")
-    p.add_argument("--variant", choices=["plain", "bar"], default="plain")
+                   help="initial window, one or more 0s and 1s")
+    p.add_argument("--variant", choices=variants, default="plain", help="default plain")
     p.add_argument("--inverse", action="store_true",
                    help="invert the conversion instead")
     _add_format(p)
@@ -105,23 +106,22 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--config", metavar="PATH",
                       help="growing-order combination config file")
     p.add_argument("--length", type=int, default=None,
-                   help="output length (required with --config)")
+                   help="output length, at least 0 (required with --config)")
     _add_format(p)
 
     p = command("whiten", _cmd_whiten, "XOR stdin with a generated mask")
     mask = p.add_mutually_exclusive_group(required=True)
     mask.add_argument("--order", type=int, default=None,
-                      help="kernel mask order (with --pi)")
+                      help="kernel mask order, at least 1 (with --pi)")
     mask.add_argument("--config", metavar="PATH",
                       help="growing-order combination config file")
-    p.add_argument("--pi", type=float, default=None)
-    p.add_argument("--variant", choices=["plain", "bar"],
-                   help="kernel mask variant (with --order; default plain)")
+    p.add_argument("--pi", type=float, default=None, help="with --order; in [1e-09, 1 - 1e-09]")
+    p.add_argument("--variant", choices=variants, help="with --order; default plain")
     _add_entropy_flags(p)
     _add_format(p)
 
     p = command("analyze", _cmd_analyze, "block-frequency report for stdin")
-    p.add_argument("--max-block", type=int, required=True)
+    p.add_argument("--max-block", type=int, required=True, help="longest block, 1 to 24")
     p.add_argument("--alpha", type=float, default=1e-4,
                    help="rejection threshold for the text report")
     p.add_argument("--csv", action="store_true", help="machine-readable output")
@@ -131,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     seed = p.add_mutually_exclusive_group(required=True)
     seed.add_argument("--seed-hex", metavar="HEX", help="seed bits, hex-encoded")
     seed.add_argument("--seed-file", metavar="PATH", help="seed bits, packed file")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--order", type=int, required=True, help="at least 1, below the seed length")
+    p.add_argument("--length", type=int, required=True, help="at least seed length - order")
     _add_format(p)
     return parser
 
@@ -166,9 +166,9 @@ def _cmd_gen(args, parser, stdin, stdout) -> None:
 
 
 def _cmd_transform(args, parser, stdin, stdout) -> None:
-    v = BitSequence.from_ascii01(args.init)
-    if not len(v):  # before stdin, as transform would find it only at EOF
-        raise ValueError("initial word must contain at least one bit")
+    v = "".join(args.init.split())  # whitespace is ignored, as in ascii01
+    if not v or v.strip("01"):  # before stdin: transform checks only at EOF
+        raise ValueError(f"--init must be one or more 0s and 1s, got {args.init!r}")
     if args.order is not None and args.order != len(v):
         parser.error(f"--init length {len(v)} does not match --order {args.order}")
     seq = decode_stream(stdin.read(), args.format)
@@ -212,7 +212,9 @@ def _cmd_whiten(args, parser, stdin, stdout) -> None:
 
 def _cmd_analyze(args, parser, stdin, stdout) -> None:
     from . import stats as stats_mod
-    stats_mod.check_block_range(args.max_block)
+    if not 1 <= args.max_block <= stats_mod.BLOCK_LEN_CAP:
+        raise ValueError(f"--max-block must lie in [1, {stats_mod.BLOCK_LEN_CAP}], "
+                         f"got {args.max_block}")
     if not 0.0 <= args.alpha <= 1.0:  # NaN fails too
         parser.error(f"--alpha must lie in [0, 1], got {args.alpha}")
     seq = decode_stream(stdin.read(), args.format)
@@ -258,7 +260,7 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
             except SystemExit as exc:  # usage errors and --help, from argparse or parser.error
                 code = int(exc.code or 0)
             stdout.flush()
-        except (ValueError, CapacityError, SourceExhaustedError, OSError) as exc:
+        except (ValueError, SourceExhaustedError, OSError) as exc:
             print(prefix, exc, file=stderr)
             return 1
         except MemoryError as exc:  # e.g. numpy refusing a huge --length

@@ -10,7 +10,8 @@ map is deterministic in (seed, config).
 
 The coder is an integer range coder in the classic reference style
 (Witten, Neal & Cleary 1987): `precision`-bit low/high registers, carry
-handling via pending inverted bits, termination by a single 1 bit.
+handling via pending inverted bits, termination by a single 1 bit.  Its
+functions take `precision=` in [16, 62]; `expand` uses DEFAULT_PRECISION.
 Encoder and decoder are one function each: a 1 raises `low`, a 0 lowers
 `high`.  The encoder steps symbol by symbol, the decoder through runs of
 1s, renormalising only at run ends, bit-identical to a per-symbol
@@ -51,35 +52,25 @@ ENTROPY_TOL = 1e-12  # |H(pi) - h| at which entropy_inverse stops
 _GROUP_RUN = 256
 
 
-class ExpanderConfig(NamedTuple("ExpanderConfig",
-                                 [("order", int), ("target_len", int), ("precision", int)])):
-    """Expansion parameters: output order, target length, coder width."""
+class ExpanderConfig(NamedTuple("ExpanderConfig", [("order", int), ("target_len", int)])):
+    """Expansion parameters: output order and target length."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # else _make and _replace skip __new__
 
-    def __new__(cls, order: int, target_len: int, precision: int = DEFAULT_PRECISION):
+    def __new__(cls, order: int, target_len: int):
         values = []
-        for name, value in zip(cls._fields, (order, target_len, precision)):
+        for name, value in zip(cls._fields, (order, target_len)):
             try:
                 values.append(operator.index(value))
             except TypeError:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
-        order, target_len, precision = values
+        order, target_len = values
         if order < 1:
             raise ValueError("order must be positive")
         if target_len < 1:
             raise ValueError("target length must be positive")
-        _check_precision(precision)
-        return super().__new__(cls, order, target_len, precision)
-
-
-def _check_precision(precision: int) -> None:
-    # At 3 bits the split leaves f0 = 0, and narrower coders cannot shift.
-    # In range, every step of a run takes at least 2 from a span above a
-    # quarter of the range: the decoder's step bound divides by that step.
-    if not 16 <= precision <= 62:
-        raise ValueError("precision must lie in [16, 62]")
+        return super().__new__(cls, order, target_len)
 
 
 def entropy_inverse(h: float) -> float:
@@ -114,7 +105,11 @@ def _coder(pi: float, precision: int) -> tuple[int, ...]:
     total = 1 << sh, and registers (mask, half_mask, top, second)."""
     if not 0.0 < pi < 1.0:
         raise ValueError(f"pi must lie strictly inside (0, 1), got {pi!r}")
-    _check_precision(precision)
+    # At 3 bits the split leaves f0 = 0, and narrower coders cannot shift.
+    # In range, every step of a run takes at least 2 from a span above a
+    # quarter of the range: the decoder's step bound divides by that step.
+    if not 16 <= precision <= 62:
+        raise ValueError("precision must lie in [16, 62]")
     # P(0) = pi on an integer cumulative scale that fits the coder's range
     # invariant: total at most a quarter of the range.
     sh = min(32, precision - 3)
@@ -249,5 +244,5 @@ def expand(seed, config: ExpanderConfig) -> BitSequence:
     initial = seed_bits[:k]
     code = seed_bits[k:]
     pi = entropy_inverse(h)
-    decoded = bernoulli_decode(code, pi, n, config.precision)
+    decoded = bernoulli_decode(code, pi, n)
     return transform(decoded, initial)

@@ -200,14 +200,6 @@ def chi_square_pvalue(statistic: float, df: int) -> float:
     return _gammaincc(df / 2.0, statistic / 2.0)
 
 
-def check_block_range(max_block: int) -> None:
-    """The checks of `analyze(seq, max_block)` that need no input."""
-    if max_block < 1:
-        raise ValueError("block range must satisfy 1 <= min <= max")
-    if max_block > BLOCK_LEN_CAP:
-        _check_block_len("block length", BLOCK_LEN_CAP + 1, max_block)
-
-
 def analyze(seq, max_block: int, min_block: int = 1) -> list[BlockStats]:
     """Block statistics for every length in [min_block, max_block]."""
     if min_block < 1 or max_block < min_block:

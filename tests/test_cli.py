@@ -17,8 +17,9 @@ from twofaced.cli import _entropy_source, build_parser, run
 from twofaced.combine import default_config, render_config
 from twofaced.expander import ExpanderConfig, expand
 from twofaced.generator import generate, init_uniform
-from twofaced.kernels import KernelSpec, Variant
+from twofaced.kernels import PI_FLOOR, KernelSpec, Variant
 from twofaced.sources import CounterBitSource, ReplayBitSource, UniformRealSource
+from twofaced.stats import BLOCK_LEN_CAP
 
 
 def invoke(argv, stdin=b""):
@@ -445,11 +446,13 @@ def test_whiten_usage_errors_never_read_stdin(tmp_path):
 def test_analyze_and_combine_fail_before_reading_stdin(tmp_path):
     missing = tmp_path / "missing.bin"
     for argv, message in (
-            (["analyze", "--max-block", "30"], "block length 25 exceeds table cap 24"),
-            (["analyze", "--max-block", "0"], "block range must satisfy 1 <= min <= max"),
+            *((["analyze", "--max-block", m], f"--max-block must lie in [1, 24], got {m}")
+              for m in ("0", "25", "30")),
             (["combine", "--xor-with", str(missing)],
              f"[Errno 2] No such file or directory: {str(missing)!r}"),
-            (["transform", "--init", ""], "initial word must contain at least one bit")):
+            (["transform", "--init", ""], "--init must be one or more 0s and 1s, got ''"),
+            (["transform", "--init", "012"],
+             "--init must be one or more 0s and 1s, got '012'")):
         out, err = io.BytesIO(), io.StringIO()
         code = run(argv, stdin=_UnreadStdin(), stdout=out, stderr=err)
         assert (code, out.getvalue()) == (1, b""), argv
@@ -515,12 +518,23 @@ def test_analyze_bad_block_length_is_one_line_runtime_error():
     stream = b"0110" * 5
     for argv, message in (
             (["--max-block", "21"], "block length 21 exceeds sequence length 20"),
-            (["--max-block", "25"], "block length 25 exceeds table cap 24")):
+            (["--max-block", "25"], "--max-block must lie in [1, 24], got 25")):
         with warnings.catch_warnings():  # low expected counts below the bad length
             warnings.simplefilter("ignore")
             code, out, err = invoke(["analyze"] + argv, stream)
         assert code == 1 and out == b""
         assert err == f"twofaced analyze: {message}\n"
+
+
+@pytest.mark.parametrize("bits", [20, 2000])
+def test_analyze_every_max_block_exits_0_or_1_with_its_own_lines(bits):
+    # CapacityError is not caught by run, so no length up to the cap may raise it
+    stream = BitSequence(CounterBitSource(bits).bits(bits)).to_ascii01().encode()
+    for m in range(1, 25):
+        code, out, err = invoke(["analyze", "--max-block", str(m)], stream)
+        assert code == (1 if m > bits else 0), m
+        assert (out == b"") == (code == 1), m
+        assert all(line.startswith("twofaced analyze: ") for line in err.splitlines()), m
 
 
 def test_analyze_warnings_are_lines_on_run_stderr():
@@ -591,6 +605,21 @@ def test_each_command_help_renders_and_readme_names_every_option():
             for option in action.option_strings:
                 assert re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", section), \
                     (name, option)
+
+
+def test_every_option_has_help():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    helps = {}
+    for name, sub in subparsers.items():
+        for action in sub._actions:
+            if action.option_strings != ["-h", "--help"]:
+                assert action.help, (name, action.option_strings)
+                helps[name, action.dest] = action.help
+    # the ranges the help states are the ones the library checks
+    assert helps["analyze", "max_block"].endswith(f"1 to {BLOCK_LEN_CAP}")
+    for name in ("gen", "whiten"):
+        assert helps[name, "pi"].endswith(f"[{PI_FLOOR:g}, 1 - {PI_FLOOR:g}]")
 
 
 def test_unknown_flag_exits_2():

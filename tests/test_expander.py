@@ -57,28 +57,25 @@ def test_expander_config_validation():
         ExpanderConfig(0, 10)
     with pytest.raises(ValueError):
         ExpanderConfig(2, 0)
-    with pytest.raises(ValueError):
-        ExpanderConfig(2, 10, precision=8)
+    with pytest.raises(TypeError):  # the coder width is the coder's alone
+        ExpanderConfig(2, 10, 62)
 
 
-def test_coder_rejects_the_configs_out_of_range_precisions():
-    # At 3 bits the split gave f0 = 0 and 7 bits encoded to one; 15 and 63
-    # were taken though ExpanderConfig refuses them.
+def test_coder_rejects_out_of_range_precisions():
+    # At 3 bits the split would leave f0 = 0; 15 and 63 lie just outside.
     x = BitSequence(CounterBitSource(3).bits(7))
     for precision in (3, 15, 63):
-        for call in (lambda: ExpanderConfig(2, 10, precision),
-                     lambda: bernoulli_encode(x, 0.3, precision),
+        for call in (lambda: bernoulli_encode(x, 0.3, precision),
                      lambda: bernoulli_decode(x, 0.3, 7, precision)):
             with pytest.raises(ValueError, match=r"^precision must lie in \[16, 62\]$"):
                 call()
 
 
 def test_expander_config_takes_integral_values_only():
-    config = ExpanderConfig(np.int64(16), np.int64(4096), np.int64(24))
-    assert (config.order, config.target_len, config.precision) == (16, 4096, 24)
-    assert all(type(v) is int
-               for v in (config.order, config.target_len, config.precision))
-    for bad in ((2.7, 4096), (16.0, 4096), (16, 4096.0), (16, 4096, 24.0)):
+    config = ExpanderConfig(np.int64(16), np.int64(4096))
+    assert config == (16, 4096)
+    assert all(type(v) is int for v in config)
+    for bad in ((2.7, 4096), (16.0, 4096), (16, 4096.0)):
         with pytest.raises(ValueError):
             ExpanderConfig(*bad)
 

@@ -211,7 +211,7 @@ _RECORDS = [
     (KernelTable, dict(p0=np.array([0.2, 0.8]), p1=np.array([0.8, 0.2])), {}),
     (BlockStats, dict(block_len=1, counts=np.array([3, 2]), windows=5,
                       max_abs_deviation=0.1, chi_square=0.2, df=1), {}),
-    (ExpanderConfig, dict(order=4, target_len=64), dict(precision=62)),
+    (ExpanderConfig, dict(order=4, target_len=64), {}),
     (CutSequence, dict(cuts=(2, 4)), {}),
     (ComponentSpec, dict(kernel=KernelSpec(Variant.PLAIN, 2, 0.3), seed=5), {}),
     (TwiceTwoFacedConfig, dict(cuts=CutSequence((2,)), components=()), {}),
@@ -235,8 +235,8 @@ def test_records_take_keywords_and_refuse_assignment(record, fields, defaults):
 _CHECKED_RECORDS = [
     (KernelSpec, (Variant.PLAIN, np.int64(8), 0.2), dict(pi=2.0),
      "pi must lie in [1e-09, 1 - 1e-09], got 2.0", lambda r: [r.order]),
-    (ExpanderConfig, (np.int64(4), np.int64(64), np.int64(32)), dict(precision=63),
-     "precision must lie in [16, 62]", lambda r: list(r)),
+    (ExpanderConfig, (np.int64(4), np.int64(64)), dict(target_len=0),
+     "target length must be positive", lambda r: list(r)),
     (CutSequence, ((np.int64(1), np.int64(2)),), dict(cuts=(5, 1)),
      "cuts must be strictly increasing", lambda r: list(r.cuts)),
     (ComponentSpec, (KernelSpec(Variant.PLAIN, 2, 0.3), np.int64(5)), dict(seed=-1),
